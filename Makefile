@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race verify bench chaos soak fleet-soak bench-durability ring-chaos bench-ring matrix-smoke store-chaos
+.PHONY: all build vet test race verify bench chaos soak fleet-soak bench-durability ring-chaos bench-ring matrix-smoke store-chaos pipebench-test
 
 all: verify
 
@@ -21,6 +21,12 @@ race:
 
 # Tier-1 verify (see ROADMAP.md).
 verify: build vet test race
+
+# The pipeline benchmark is a nested module that `go test ./...` skips:
+# run its tests (every workload at toy size, untraced and traced) so a
+# tracer, core or sessiond API change that breaks it fails here.
+pipebench-test:
+	cd pipebench && $(GO) test ./...
 
 # Regenerate BENCH_slice.json (parallel slicing engine benchmark).
 bench:

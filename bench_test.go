@@ -236,33 +236,12 @@ func BenchmarkVMExecutionTraced(b *testing.B) {
 			Env:      vm.NewNativeEnv(w.Input(4, 1<<40), 1),
 			MaxSteps: 200_000,
 		})
-		col := tracer.NewCollector(m)
+		col := tracer.NewCollector()
 		m.SetTracer(col)
 		m.Run()
 		instrs += m.Steps()
 	}
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
-}
-
-// BenchmarkGlobalTraceBuild measures the §3(ii) topological merge.
-func BenchmarkGlobalTraceBuild(b *testing.B) {
-	prog, pb := regionPinball(b, "dedup", 50_000)
-	b.ResetTimer()
-	total := pb.TotalQuantumInstrs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		m := pinplay.NewReplayMachine(prog, pb, nil)
-		col := tracer.NewCollector(m)
-		m.SetTracer(col)
-		// Replay exactly the recorded region; the workload itself is
-		// endless, so running the machine to a stop would never return.
-		for executed := int64(0); executed < total && m.StepOne(); executed++ {
-		}
-		b.StartTimer()
-		if err := col.Trace().BuildGlobal(); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // --- ablation benchmarks (DESIGN.md design choices) ---

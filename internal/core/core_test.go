@@ -9,6 +9,7 @@ import (
 	"repro/internal/pinplay"
 	"repro/internal/slice"
 	"repro/internal/vm"
+	"repro/internal/workloads"
 )
 
 // raceSrc is an atomicity-violation bug exposed under some schedules: a
@@ -351,5 +352,39 @@ func TestDualSliceSessionAPI(t *testing.T) {
 	}
 	if _, err := core.DualSlice(failing, otherSess, "x"); err == nil {
 		t.Error("mismatched programs accepted")
+	}
+}
+
+// TestTraceLocalsPresized: collecting the trace of a full (non-gapped)
+// region sizes every thread's local trace exactly from the recorded
+// schedule, so no array was regrown on the way or left over-allocated.
+func TestTraceLocalsPresized(t *testing.T) {
+	w, err := workloads.ByName("blackscholes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := w.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb, err := pinplay.Log(prog, pinplay.LogConfig{Seed: 3, Input: w.Input(4, 1<<40)},
+		pinplay.RegionSpec{SkipMain: 1000, LengthMain: 20_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := core.Open(prog, pb).Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Locals) < 2 {
+		t.Fatalf("region traced %d threads, want several", len(tr.Locals))
+	}
+	for tid, l := range tr.Locals {
+		if cap(l) != len(l) {
+			t.Errorf("thread %d: local trace cap %d, len %d", tid, cap(l), len(l))
+		}
+		if runs := tr.Steps[tid]; cap(runs) != len(runs) {
+			t.Errorf("thread %d: step table cap %d, len %d", tid, cap(runs), len(runs))
+		}
 	}
 }

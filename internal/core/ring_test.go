@@ -10,6 +10,7 @@ import (
 	"repro/internal/pinplay"
 	"repro/internal/slice"
 	"repro/internal/tracer"
+	"repro/internal/vm"
 )
 
 // ringDiffSrc keeps two slice criteria live: "counter" accumulates across
@@ -245,5 +246,67 @@ func TestRingSliceDeterministic(t *testing.T) {
 		if *sl.Prov != wantProv {
 			t.Errorf("workers=%d: provenance %+v, want %+v", workers, *sl.Prov, wantProv)
 		}
+	}
+}
+
+// stepRecorder numbers every replayed instruction with its global region
+// step, per thread in program order: the per-instruction step column that
+// the trace's run-length step table replaces.
+type stepRecorder struct {
+	vm.NopTracer
+	n     int64
+	steps map[int][]int64
+}
+
+func (r *stepRecorder) OnInstr(ev *vm.InstrEvent) {
+	r.n++
+	r.steps[ev.Tid] = append(r.steps[ev.Tid], r.n)
+}
+
+// TestRingStepTableMatchesPerInstructionSteps: on a gapped ring trace,
+// StepOf and ProvenanceOf agree for every entry with the per-instruction
+// step numbering and a linear scan of the gap spans.
+func TestRingStepTableMatchesPerInstructionSteps(t *testing.T) {
+	_, ring := ringDiffSessions(t)
+	tr, err := ring.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Gaps) == 0 {
+		t.Fatal("ring trace carries no gap spans")
+	}
+	rec := &stepRecorder{steps: map[int][]int64{}}
+	m := ring.ReplayMachine(rec)
+	for i := 0; i < tr.Len() && m.StepOne(); i++ {
+	}
+
+	counts := map[tracer.Provenance]int{}
+	for tid, l := range tr.Locals {
+		if len(rec.steps[tid]) != len(l) {
+			t.Fatalf("thread %d: %d recorded steps, %d trace entries", tid, len(rec.steps[tid]), len(l))
+		}
+		for pos := range l {
+			ref := tracer.Ref{Tid: int32(tid), Pos: int32(pos)}
+			step := rec.steps[tid][pos]
+			if got := tr.StepOf(ref); got != step {
+				t.Fatalf("StepOf(%+v) = %d, want %d", ref, got, step)
+			}
+			want := tracer.ProvExact
+			for _, g := range tr.Gaps {
+				if g.From < step && step <= g.To {
+					want = tracer.ProvBridged
+					if g.Estimated {
+						want = tracer.ProvEstimated
+					}
+				}
+			}
+			if got := tr.ProvenanceOf(ref); got != want {
+				t.Fatalf("ProvenanceOf(%+v) at step %d = %s, want %s", ref, step, got, want)
+			}
+			counts[want]++
+		}
+	}
+	if counts[tracer.ProvExact] == 0 || counts[tracer.ProvBridged] == 0 {
+		t.Fatalf("provenance mix %v does not cover both exact and bridged entries", counts)
 	}
 }

@@ -218,18 +218,8 @@ func (s *Session) Trace() (*tracer.Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The collector needs the replay machine to construct itself, so it is
-	// patched in through the OnMachine hook (the replay owns machine
-	// construction now that it also wires in checkpoint validation).
-	var col *tracer.Collector
-	hook := &lateTracer{}
-	_, _, err = pinplay.ReplayWith(s.Prog, pb, pinplay.ReplayOptions{
-		Tracer: hook, Limits: s.limits,
-		OnMachine: func(m *vm.Machine) {
-			col = tracer.NewCollector(m)
-			hook.t = col
-		},
-	})
+	col := tracer.NewRegionCollector(pb.Quanta)
+	_, _, err = pinplay.ReplayWith(s.Prog, pb, pinplay.ReplayOptions{Tracer: col, Limits: s.limits})
 	if err != nil {
 		return nil, fmt.Errorf("core: trace collection: %w", err)
 	}
@@ -253,14 +243,6 @@ func (s *Session) Trace() (*tracer.Trace, error) {
 	s.trace = tr
 	return tr, nil
 }
-
-// lateTracer delegates to a tracer chosen after construction — the
-// OnMachine indirection Trace uses.
-type lateTracer struct{ t vm.Tracer }
-
-func (h *lateTracer) OnInstr(ev *vm.InstrEvent)    { h.t.OnInstr(ev) }
-func (h *lateTracer) OnOrderEdge(e vm.OrderEdge)   { h.t.OnOrderEdge(e) }
-func (h *lateTracer) OnSyscall(r vm.SyscallRecord) { h.t.OnSyscall(r) }
 
 // Slicer returns the session's slicer (forward analysis run once, then
 // reused across slice requests).

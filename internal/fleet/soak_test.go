@@ -127,7 +127,15 @@ func TestFleetChaosSoak(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			for r := 0; r < reqsPerClient; r++ {
+			// At least reqsPerClient requests, and on until one has been
+			// sent after the kill, however fast the fleet answers.
+			afterKill := false
+			for r := 0; r < reqsPerClient || !afterKill; r++ {
+				select {
+				case <-killed:
+					afterKill = true
+				default:
+				}
 				var req sessiond.Request
 				switch (ci + r) % 5 {
 				case 0, 1, 2: // slice: the digest-checked path

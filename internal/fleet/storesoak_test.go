@@ -212,7 +212,15 @@ func TestStoreChaosSoak(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			for r := 0; r < reqsPerClient; r++ {
+			// At least reqsPerClient requests, and on until one has been
+			// sent after the chaos, however fast the fleet answers.
+			afterChaos := false
+			for r := 0; r < reqsPerClient || !afterChaos; r++ {
+				select {
+				case <-chaosDone:
+					afterChaos = true
+				default:
+				}
 				// Digest-only sessions: no client ever names a pinball path.
 				req := sessiond.Request{
 					Op: sessiond.OpSlice, File: f.src, Digest: digest,

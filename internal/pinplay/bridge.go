@@ -146,9 +146,6 @@ func bridgeMachine(prog *isa.Program, pb *pinball.Pinball, opts ReplayOptions) (
 		lim.Steps = pb.RegionInstrs + 1
 	}
 	m.SetLimits(lim)
-	if opts.OnMachine != nil {
-		opts.OnMachine(m)
-	}
 	return m, v, gh
 }
 

@@ -48,11 +48,6 @@ type ReplayOptions struct {
 	// are listed as estimated in the bridge report and the replay
 	// completes. Checkpoint divergences still follow the Degraded policy.
 	BridgeEstimates bool
-	// OnMachine, if set, is called with the replay machine after it is
-	// built and before the first instruction executes — the hook for
-	// observers that need the machine to construct themselves (e.g. the
-	// def/use trace collector).
-	OnMachine func(*vm.Machine)
 }
 
 // ReplayReport summarises what a replay verified.
@@ -99,9 +94,6 @@ func newValidatedMachine(prog *isa.Program, pb *pinball.Pinball, opts ReplayOpti
 		m.SetTracer(opts.Tracer)
 	}
 	m.SetLimits(opts.Limits)
-	if opts.OnMachine != nil {
-		opts.OnMachine(m)
-	}
 	return m, v
 }
 

@@ -37,7 +37,7 @@ func propTrace(t *testing.T, seed int64) (*isa.Program, *tracer.Trace, int) {
 		t.Fatalf("seed %d: log: %v", seed, err)
 	}
 	m := pinplay.NewReplayMachine(prog, pb, nil)
-	col := tracer.NewCollector(m)
+	col := tracer.NewCollector()
 	m.SetTracer(col)
 	for i, total := int64(0), pb.TotalQuantumInstrs(); i < total && m.StepOne(); i++ {
 	}

@@ -39,7 +39,7 @@ func TestCorpusDifferential(t *testing.T) {
 				t.Fatalf("log: %v", err)
 			}
 			m := pinplay.NewReplayMachine(prog, pb, nil)
-			col := tracer.NewCollector(m)
+			col := tracer.NewCollector()
 			m.SetTracer(col)
 			total := pb.TotalQuantumInstrs()
 			for i := int64(0); i < total && m.StepOne(); i++ {

@@ -42,7 +42,7 @@ func fuzzProgram(t *testing.T, seed int64) (*isa.Program, *pinball.Pinball, *tra
 		t.Fatalf("seed %d: log: %v", seed, err)
 	}
 	m := pinplay.NewReplayMachine(prog, pb, nil)
-	col := tracer.NewCollector(m)
+	col := tracer.NewCollector()
 	m.SetTracer(col)
 	total := pb.TotalQuantumInstrs()
 	for i := int64(0); i < total && m.StepOne(); i++ {
@@ -201,7 +201,7 @@ func TestDifferentialDualSlice(t *testing.T) {
 			t.Fatal(err)
 		}
 		mB := pinplay.NewReplayMachine(progB, pbB, nil)
-		colB := tracer.NewCollector(mB)
+		colB := tracer.NewCollector()
 		mB.SetTracer(colB)
 		for i, total := int64(0), pbB.TotalQuantumInstrs(); i < total && mB.StepOne(); i++ {
 		}

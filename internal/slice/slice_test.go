@@ -47,7 +47,7 @@ func logAndTraceProg(t *testing.T, prog *isa.Program, input []int64, mustFail bo
 		t.Fatal("no seed produced the required failure")
 	}
 	m := pinplay.NewReplayMachine(prog, pb, nil)
-	col := tracer.NewCollector(m)
+	col := tracer.NewCollector()
 	m.SetTracer(col)
 	total := pb.TotalQuantumInstrs()
 	for i := int64(0); i < total && m.StepOne(); i++ {

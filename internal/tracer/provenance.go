@@ -65,13 +65,18 @@ type GapSpan struct {
 func (t *Trace) SetGaps(gaps []GapSpan) { t.Gaps = gaps }
 
 // StepOf returns the 1-based global region step of a trace entry, or 0
-// when the collector did not record steps.
+// when the trace carries no step table for it: the last run starting at
+// or before the entry, offset by the entry's distance into that run.
 func (t *Trace) StepOf(r Ref) int64 {
-	steps, ok := t.Steps[int(r.Tid)]
-	if !ok || int(r.Pos) >= len(steps) {
+	runs := t.Steps[int(r.Tid)]
+	if r.Pos < 0 || int(r.Pos) >= len(t.Locals[int(r.Tid)]) {
 		return 0
 	}
-	return steps[r.Pos]
+	i := sort.Search(len(runs), func(i int) bool { return runs[i].Pos > r.Pos }) - 1
+	if i < 0 {
+		return 0
+	}
+	return runs[i].Step + int64(r.Pos-runs[i].Pos)
 }
 
 // ProvenanceOf classifies one trace entry against the gap overlay.

@@ -36,20 +36,31 @@ type Trace struct {
 
 	// Global is the combined, fully ordered trace (filled by BuildGlobal).
 	Global []Ref
-	// globalPosArr maps tid -> local position -> global position.
-	globalPosArr map[int][]int32
+	// globalPos maps tid -> local position -> global position.
+	globalPos [][]int32
 
 	// SpawnEvent maps a thread id to the ref of the SPAWN instruction
 	// that created it, when that spawn happened inside the traced region.
 	SpawnEvent map[int]Ref
 
-	// Steps maps tid -> local position -> 1-based global region step,
-	// parallel to Locals. Gaps is the flight-recorder gap overlay: spans
-	// of the region whose events were re-derived by bridging rather than
-	// replayed from recorded streams (see provenance.go). Both are empty
-	// for ordinary full-trace replays.
-	Steps map[int][]int64
+	// Steps is the run-length table of global region steps: per thread,
+	// one row for every run of consecutive instructions it executed
+	// without the replay switching threads (see StepRun). The collector
+	// fills it on every replay; StepOf recovers any entry's step from it.
+	// Gaps is the flight-recorder gap overlay: spans of the region whose
+	// events were re-derived by bridging rather than replayed from
+	// recorded streams (see provenance.go). It is empty for ordinary
+	// full-trace replays.
+	Steps map[int][]StepRun
 	Gaps  []GapSpan
+}
+
+// StepRun is one row of the run-length step table: the thread's entries
+// from local position Pos up to its next row carry the consecutive 1-based
+// global region steps Step, Step+1, ...
+type StepRun struct {
+	Pos  int32
+	Step int64
 }
 
 // Entry returns the trace entry for a ref.
@@ -72,8 +83,11 @@ func (t *Trace) RefOf(tid int, idx int64) (Ref, bool) {
 // GlobalPosOf returns the position of ref in the global trace; BuildGlobal
 // must have run.
 func (t *Trace) GlobalPosOf(r Ref) (int, bool) {
-	arr, ok := t.globalPosArr[int(r.Tid)]
-	if !ok || int(r.Pos) >= len(arr) {
+	if uint(r.Tid) >= uint(len(t.globalPos)) {
+		return 0, false
+	}
+	arr := t.globalPos[r.Tid]
+	if uint(r.Pos) >= uint(len(arr)) {
 		return 0, false
 	}
 	return int(arr[r.Pos]), true
@@ -89,50 +103,106 @@ func (t *Trace) Len() int {
 }
 
 // Collector is the analysis pintool that gathers the trace during a
-// replay: attach it as the machine's tracer.
+// replay: attach it as the machine's tracer. Per-thread state lives in
+// tid-indexed slices, so recording an instruction costs one append and no
+// map lookups; the Trace maps are built once, by Trace.
 type Collector struct {
 	vm.NopTracer
-	trace *Trace
-	m     *vm.Machine
-	step  int64 // global region steps observed so far
+	locals [][]Entry
+	runs   [][]StepRun
+	spawn  map[int]Ref
+	edges  []vm.OrderEdge
+	step   int64 // global region steps observed so far
+	cur    int   // tid of the running thread, -1 before the first step
 }
 
-// NewCollector creates a collector. The machine reference (optional) lets
-// the collector attribute SPAWN instructions to the thread ids they
-// create, which the execution-slice builder uses to keep thread creation
-// inside slices.
-func NewCollector(m *vm.Machine) *Collector {
-	return &Collector{
-		trace: &Trace{
-			Locals:     make(map[int][]Entry),
-			FirstIdx:   make(map[int]int64),
-			SpawnEvent: make(map[int]Ref),
-			Steps:      make(map[int][]int64),
-		},
-		m: m,
+// NewCollector creates a collector with no size hint.
+func NewCollector() *Collector {
+	return &Collector{spawn: make(map[int]Ref), cur: -1}
+}
+
+// maxPresize bounds the entries NewRegionCollector reserves up front. A
+// schedule read from a pinball file is untrusted input: a region claiming
+// more is collected by plain appends, so a tampered count cannot reserve
+// memory that the replay never fills.
+const maxPresize = 1 << 22
+
+// NewRegionCollector creates a collector for replaying a region with the
+// given recorded schedule: each thread's local trace is presized to the
+// instructions its quanta grant, and its step table to its scheduling
+// runs, so a full replay never regrows either. The sizes are only
+// starting capacities; a replay that runs a thread further still appends.
+func NewRegionCollector(quanta []vm.Quantum) *Collector {
+	c := NewCollector()
+	var instrs, runs []int
+	total, prev := int64(0), -1
+	for _, q := range quanta {
+		if q.Count <= 0 || q.Tid < 0 || q.Tid >= vm.MaxThreads {
+			continue
+		}
+		if total += q.Count; total > maxPresize {
+			return c
+		}
+		for len(instrs) <= q.Tid {
+			instrs, runs = append(instrs, 0), append(runs, 0)
+		}
+		instrs[q.Tid] += int(q.Count)
+		if q.Tid != prev {
+			runs[q.Tid]++
+			prev = q.Tid
+		}
 	}
+	c.locals = make([][]Entry, len(instrs))
+	c.runs = make([][]StepRun, len(instrs))
+	for tid := range instrs {
+		c.locals[tid] = make([]Entry, 0, instrs[tid])
+		c.runs[tid] = make([]StepRun, 0, runs[tid])
+	}
+	return c
 }
 
-// Trace returns the collected trace.
-func (c *Collector) Trace() *Trace { return c.trace }
+// Trace returns the trace collected so far.
+func (c *Collector) Trace() *Trace {
+	t := &Trace{
+		Locals:     make(map[int][]Entry, len(c.locals)),
+		Edges:      c.edges,
+		FirstIdx:   make(map[int]int64, len(c.locals)),
+		SpawnEvent: c.spawn,
+		Steps:      make(map[int][]StepRun, len(c.locals)),
+	}
+	for tid, l := range c.locals {
+		if len(l) == 0 {
+			continue
+		}
+		t.Locals[tid] = l
+		t.FirstIdx[tid] = l[0].Idx
+		t.Steps[tid] = c.runs[tid]
+	}
+	return t
+}
 
 // OnInstr implements vm.Tracer.
 func (c *Collector) OnInstr(ev *Entry) {
-	l, ok := c.trace.Locals[ev.Tid]
-	if !ok {
-		c.trace.FirstIdx[ev.Tid] = ev.Idx
+	tid := ev.Tid
+	for len(c.locals) <= tid {
+		c.locals, c.runs = append(c.locals, nil), append(c.runs, nil)
 	}
-	c.trace.Locals[ev.Tid] = append(l, *ev)
+	l := append(c.locals[tid], *ev)
+	c.locals[tid] = l
+	pos := int32(len(l) - 1)
 	c.step++
-	c.trace.Steps[ev.Tid] = append(c.trace.Steps[ev.Tid], c.step)
+	if tid != c.cur {
+		c.cur = tid
+		c.runs[tid] = append(c.runs[tid], StepRun{Pos: pos, Step: c.step})
+	}
 	if ev.Instr.Op == isa.SPAWN {
-		c.trace.SpawnEvent[int(ev.Aux)] = Ref{Tid: int32(ev.Tid), Pos: int32(len(c.trace.Locals[ev.Tid]) - 1)}
+		c.spawn[int(ev.Aux)] = Ref{Tid: int32(tid), Pos: pos}
 	}
 }
 
 // OnOrderEdge implements vm.Tracer.
 func (c *Collector) OnOrderEdge(e vm.OrderEdge) {
-	c.trace.Edges = append(c.trace.Edges, e)
+	c.edges = append(c.edges, e)
 }
 
 // Validate checks internal consistency: entries per thread have

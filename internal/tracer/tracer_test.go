@@ -17,7 +17,7 @@ func collect(t *testing.T, src string, seed int64) *tracer.Trace {
 		t.Fatal(err)
 	}
 	m := vm.New(prog, vm.Config{Sched: vm.NewRandomScheduler(seed, 17), MaxSteps: 5_000_000})
-	col := tracer.NewCollector(m)
+	col := tracer.NewCollector()
 	m.SetTracer(col)
 	m.Run()
 	tr := col.Trace()
