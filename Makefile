@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race verify bench chaos soak fleet-soak bench-durability ring-chaos bench-ring matrix-smoke store-chaos pipebench-test
+.PHONY: all build vet test race verify bench bench-smoke chaos soak fleet-soak bench-durability ring-chaos bench-ring matrix-smoke store-chaos pipebench-test
 
 all: verify
 
@@ -31,6 +31,12 @@ pipebench-test:
 # Regenerate BENCH_slice.json (parallel slicing engine benchmark).
 bench:
 	$(GO) run ./cmd/drbench -experiment slicebench -workers 4
+
+# One iteration of each parallel slicing-engine benchmark (build and
+# steady-state query on a blackscholes region), so a change that breaks
+# them fails here; the numbers themselves do not gate.
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'Parallel' -benchtime 1x ./internal/slice/
 
 # Crash-injection suite under the race detector: torn files at every
 # section boundary, injected tracer panics, stalled replays, persistent

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/pinball"
+	"repro/internal/vm"
 )
 
 func TestCheckpointsRecordedAtCadence(t *testing.T) {
@@ -162,5 +163,97 @@ func TestRelogCarriesSliceCheckpoints(t *testing.T) {
 	}
 	if rep.Checked != len(spb.Checkpoints) {
 		t.Fatalf("slice replay checked %d of %d checkpoints", rep.Checked, len(spb.Checkpoints))
+	}
+}
+
+// lineSpans records, per thread, the index range [from, to) of the
+// instructions executed on one source line.
+type lineSpans struct {
+	vm.NopTracer
+	line  int32
+	spans map[int][2]int64
+}
+
+func (s *lineSpans) OnInstr(ev *vm.InstrEvent) {
+	if ev.Instr.Line != s.line {
+		return
+	}
+	sp, ok := s.spans[ev.Tid]
+	if !ok {
+		sp[0] = ev.Idx
+	}
+	sp[1] = ev.Idx + 1
+	s.spans[ev.Tid] = sp
+}
+
+// TestRelogExclusionsInTwoThreads excludes a loop in each of two threads:
+// the slice pinball carries one injection per thread and replays
+// divergence-clean, every checkpoint verified, to the full replay's
+// output and memory.
+func TestRelogExclusionsInTwoThreads(t *testing.T) {
+	prog := compileT(t, `
+int a;
+int b;
+int out;
+int work(int n) {
+	int i;
+	for (i = 0; i < 60; i++) { b = b + i; }
+	return 0;
+}
+int main() {
+	int i;
+	int t;
+	t = spawn(work, 3);
+	for (i = 0; i < 60; i++) { a = a + i; }
+	join(t);
+	out = a + b;
+	write(out);
+	return 0;
+}`)
+	pb, err := Log(prog, LogConfig{Seed: 3, MeanQuantum: 13, CheckpointEvery: 8}, RegionSpec{})
+	if err != nil {
+		t.Fatalf("log: %v", err)
+	}
+	var ex []pinball.Exclusion
+	for _, c := range []struct {
+		tid  int
+		line int32
+	}{{0, 14}, {1, 7}} {
+		lt := &lineSpans{line: c.line, spans: map[int][2]int64{}}
+		if _, err := Replay(prog, pb, lt); err != nil {
+			t.Fatal(err)
+		}
+		sp, ok := lt.spans[c.tid]
+		if !ok || sp[1] <= sp[0] {
+			t.Fatalf("no loop span for thread %d on line %d: %v", c.tid, c.line, lt.spans)
+		}
+		ex = append(ex, pinball.Exclusion{Tid: c.tid, FromIdx: sp[0], ToIdx: sp[1]})
+	}
+	spb, err := Relog(prog, pb, ex)
+	if err != nil {
+		t.Fatalf("relog: %v", err)
+	}
+	if len(spb.Injections) != 2 || spb.Injections[0].Tid == spb.Injections[1].Tid {
+		t.Fatalf("injections %+v, want one per thread", spb.Injections)
+	}
+	if len(spb.Checkpoints) == 0 {
+		t.Fatal("slice pinball has no checkpoints")
+	}
+	m, rep, err := ReplaySliceWith(prog, spb, ReplayOptions{})
+	if err != nil {
+		t.Fatalf("slice replay: %v", err)
+	}
+	if rep.Checked != len(spb.Checkpoints) {
+		t.Fatalf("slice replay checked %d of %d checkpoints", rep.Checked, len(spb.Checkpoints))
+	}
+	full, err := Replay(prog, pb, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := m.Output(); len(out) != 1 || out[0] != 2*1770 {
+		t.Errorf("slice output = %v, want [%d]", out, 2*1770)
+	}
+	if !m.Snapshot().Mem.Equal(full.Snapshot().Mem) {
+		t.Error("slice replay memory differs from full replay")
 	}
 }

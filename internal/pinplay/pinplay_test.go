@@ -333,6 +333,11 @@ func TestRelogRejectsBadExclusions(t *testing.T) {
 	}); err == nil {
 		t.Error("overlapping exclusions accepted")
 	}
+	for _, tid := range []int{-1, vm.MaxThreads} {
+		if _, err := Relog(prog, pb, []pinball.Exclusion{{Tid: tid, FromIdx: 10, ToIdx: 30}}); err == nil {
+			t.Errorf("exclusion for thread %d accepted", tid)
+		}
+	}
 }
 
 // TestLogBetweenPoints captures the region between two code locations —

@@ -31,10 +31,16 @@ func RelogWith(prog *isa.Program, pb *pinball.Pinball, exclusions []pinball.Excl
 	if pb.Kind == pinball.KindSlice {
 		return nil, fmt.Errorf("pinplay: cannot relog a slice pinball")
 	}
-	perThread := make(map[int][]pinball.Exclusion)
+	var perThread [][]pinball.Exclusion
 	for _, e := range exclusions {
 		if e.FromIdx >= e.ToIdx {
 			return nil, fmt.Errorf("pinplay: empty exclusion %v", e)
+		}
+		if e.Tid < 0 || e.Tid >= vm.MaxThreads {
+			return nil, fmt.Errorf("pinplay: exclusion %v names thread %d outside [0, %d)", e, e.Tid, vm.MaxThreads)
+		}
+		for len(perThread) <= e.Tid {
+			perThread = append(perThread, nil)
 		}
 		lst := perThread[e.Tid]
 		if n := len(lst); n > 0 && lst[n-1].ToIdx > e.FromIdx {
@@ -45,8 +51,8 @@ func RelogWith(prog *isa.Program, pb *pinball.Pinball, exclusions []pinball.Excl
 
 	rt := &relogTracer{
 		perThread: perThread,
-		pos:       make(map[int]int),
-		mem:       make(map[int]map[int64]int64),
+		pos:       make([]int, len(perThread)),
+		mem:       make([]map[int64]int64, len(perThread)),
 	}
 	opts.Tracer = rt
 	m, v := newValidatedMachine(prog, pb, opts)
@@ -103,12 +109,15 @@ func RelogWith(prog *isa.Program, pb *pinball.Pinball, exclusions []pinball.Excl
 // injections.
 type relogTracer struct {
 	vm.NopTracer
-	m         *vm.Machine
-	perThread map[int][]pinball.Exclusion
-	pos       map[int]int // per-thread cursor into perThread
+	m *vm.Machine
+	// perThread, pos and mem are indexed by thread id and cover exactly
+	// the threads that have exclusions: a replayed instruction of any
+	// other thread is included without a lookup.
+	perThread [][]pinball.Exclusion
+	pos       []int // per-thread cursor into perThread
 
 	// Side-effect detection for the currently open exclusion per thread.
-	mem map[int]map[int64]int64
+	mem []map[int64]int64
 
 	included     int64
 	includedMain int64
@@ -126,6 +135,9 @@ type relogTracer struct {
 // exclusionOf returns the exclusion containing idx for tid, advancing the
 // per-thread cursor (event idx values are strictly increasing per thread).
 func (r *relogTracer) exclusionOf(tid int, idx int64) *pinball.Exclusion {
+	if tid >= len(r.perThread) {
+		return nil
+	}
 	lst := r.perThread[tid]
 	p := r.pos[tid]
 	for p < len(lst) && idx >= lst[p].ToIdx {
@@ -197,7 +209,7 @@ func (r *relogTracer) OnInstr(ev *vm.InstrEvent) {
 		for _, a := range addrs {
 			inj.Mem = append(inj.Mem, pinball.MemWrite{Addr: a, Val: mw[a]})
 		}
-		delete(r.mem, ev.Tid)
+		clear(mw)
 		r.injections = append(r.injections, inj)
 	}
 }

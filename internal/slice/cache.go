@@ -10,7 +10,7 @@ import (
 // same pinball region many times, and every replay yields a bit-identical
 // trace (that is the point of deterministic replay) — so the parallel
 // engine built over one replay, i.e. the forward-pass metadata plus the
-// stitched dependence shards, is reusable for every later slice query on
+// stitched dependence columns, is reusable for every later slice query on
 // the same recording. The cache keys on the pinball's content identity
 // (pinball.ID) plus a fingerprint of the slicing options, because the
 // options change the forward pass (refinement, jump tables, save/restore

@@ -36,24 +36,16 @@ func propTrace(t *testing.T, seed int64) (*isa.Program, *tracer.Trace, int) {
 	if err != nil {
 		t.Fatalf("seed %d: log: %v", seed, err)
 	}
-	m := pinplay.NewReplayMachine(prog, pb, nil)
-	col := tracer.NewCollector()
-	m.SetTracer(col)
-	for i, total := int64(0), pb.TotalQuantumInstrs(); i < total && m.StepOne(); i++ {
-	}
-	tr := col.Trace()
-	if err := tr.BuildGlobal(); err != nil {
-		t.Fatalf("seed %d: global: %v", seed, err)
-	}
-	return prog, tr, pinplay.WindowSize(pb)
+	return prog, replayTrace(t, prog, pb), pinplay.WindowSize(pb)
 }
 
 // checkDataClosure walks every member's uses backward to their dynamic
 // definition: the definition must be a slice member, or a verified
 // save/restore instruction whose bypass redirects the demand (in which
 // case the redirected location's definition chain is followed), or not
-// exist at all (region-live-in value).
-func checkDataClosure(t *testing.T, label string, tr *tracer.Trace, sl *Slice, opts Options, fwd *forward) {
+// exist at all (region-live-in value). bypassAt reports the engine's
+// bypass roles of the entry at a global position.
+func checkDataClosure(t *testing.T, label string, tr *tracer.Trace, sl *Slice, opts Options, bypassAt func(g int) (bypassInfo, bool)) {
 	t.Helper()
 	var buf [8]tracer.Loc
 	definesAt := func(g int, l tracer.Loc) bool {
@@ -85,7 +77,7 @@ func checkDataClosure(t *testing.T, label string, tr *tracer.Trace, sl *Slice, o
 				return // closure holds: the source is in the slice
 			}
 			if opts.PruneSaveRestore {
-				if bp, ok := fwd.bypass[ref]; ok {
+				if bp, ok := bypassAt(d); ok {
 					switch {
 					case bp.role == bypassRestore && bp.reg == l:
 						walk(bp.slot, d)
@@ -113,17 +105,33 @@ func checkDataClosure(t *testing.T, label string, tr *tracer.Trace, sl *Slice, o
 }
 
 // checkControlClosure: every member's dynamic control parent (when
-// inside the sliced region) is a member.
-func checkControlClosure(t *testing.T, label string, tr *tracer.Trace, sl *Slice, fwd *forward) {
+// inside the sliced region) is a member. parent is a control-parent
+// column: the parent's global position of the entry at each global
+// position, -1 for none.
+func checkControlClosure(t *testing.T, label string, tr *tracer.Trace, sl *Slice, parent []int32) {
 	t.Helper()
 	critPos, _ := tr.GlobalPosOf(sl.Criterion)
 	for _, m := range sl.Members {
-		if p, ok := fwd.parentOf(m); ok {
-			if pg, ok := tr.GlobalPosOf(p); ok && pg <= critPos && !sl.Contains(p) {
-				t.Fatalf("%s: control parent %+v of member %+v not in slice", label, p, m)
+		g, _ := tr.GlobalPosOf(m)
+		if pg := int(parent[g]); pg >= 0 && pg <= critPos && !sl.Contains(tr.Global[pg]) {
+			t.Fatalf("%s: control parent %+v of member %+v not in slice", label, tr.Global[pg], m)
+		}
+	}
+}
+
+// parentColumn lays a sequential forward pass's per-thread parents out
+// as a control-parent column over global positions.
+func parentColumn(tr *tracer.Trace, fwd *forward) []int32 {
+	col := make([]int32, len(tr.Global))
+	for g, ref := range tr.Global {
+		col[g] = -1
+		if p, ok := fwd.parentOf(ref); ok {
+			if pg, ok := tr.GlobalPosOf(p); ok {
+				col[g] = int32(pg)
 			}
 		}
 	}
+	return col
 }
 
 // checkSliceWellFormed: members ascend in global order and end at the
@@ -203,13 +211,18 @@ func TestSliceClosureProperties(t *testing.T) {
 			t.Fatal(err)
 		}
 
+		seqBypass := func(g int) (bypassInfo, bool) {
+			bp, ok := seqEng.fwd.bypass[tr.Global[g]]
+			return bp, ok
+		}
 		for _, eng := range []struct {
-			name string
-			q    Querier
-			fwd  *forward
+			name     string
+			q        Querier
+			bypassAt func(g int) (bypassInfo, bool)
+			parent   []int32
 		}{
-			{"sequential", seqEng, seqEng.fwd},
-			{"parallel", parEng, parEng.fwd},
+			{"sequential", seqEng, seqBypass, parentColumn(tr, seqEng.fwd)},
+			{"parallel", parEng, parEng.bypassAtPos, parEng.parent},
 		} {
 			label := fmt.Sprintf("seed %d %s (opts %+v)", seed, eng.name, opts)
 			sl, err := eng.q.Slice(crit)
@@ -217,9 +230,9 @@ func TestSliceClosureProperties(t *testing.T) {
 				t.Fatalf("%s: %v", label, err)
 			}
 			checkSliceWellFormed(t, label, tr, sl)
-			checkDataClosure(t, label, tr, sl, opts, eng.fwd)
+			checkDataClosure(t, label, tr, sl, opts, eng.bypassAt)
 			if opts.ControlDeps {
-				checkControlClosure(t, label, tr, sl, eng.fwd)
+				checkControlClosure(t, label, tr, sl, eng.parent)
 			}
 		}
 	}

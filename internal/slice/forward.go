@@ -92,13 +92,13 @@ func runForward(prog *isa.Program, tr *tracer.Trace, an *cfg.Analyzer, cand *srC
 	}
 
 	for tid, local := range tr.Locals {
-		res, err := forwardThread(tr, an, cand, tid, local)
+		res, err := forwardThread(tr, an, cand, tid, local, nil)
 		if err != nil {
 			return nil, err
 		}
 		f.parent[tid] = res.parents
-		for ref, bp := range res.bypass {
-			f.bypass[ref] = bp
+		for _, b := range res.bypass {
+			f.bypass[b.ref] = b.info
 		}
 		f.pairs += res.pairs
 	}
@@ -122,9 +122,21 @@ func observeIndirects(an *cfg.Analyzer, local []tracer.Entry) int64 {
 
 // threadForward is one thread's forward-pass result.
 type threadForward struct {
+	// parents[pos] is the control parent of the thread's entry at pos;
+	// nil when the pass wrote the parents into a global column instead.
 	parents []tracer.Ref
-	bypass  map[tracer.Ref]bypassInfo
-	pairs   int64
+	// bypass lists the verified save/restore entries in the order their
+	// pairs were verified.
+	bypass []bypassEntry
+	pairs  int64
+	// ext is the location-space extents of the thread's entries.
+	ext tracer.Extents
+}
+
+// bypassEntry is one verified save or restore instance.
+type bypassEntry struct {
+	ref  tracer.Ref
+	info bypassInfo
 }
 
 // forwardThread runs the Xin-Zhang control-dependence stack and the
@@ -132,10 +144,19 @@ type threadForward struct {
 // independent — the parallel engine runs one forwardThread per worker —
 // and the analyzer must already hold every indirect target (phase 1)
 // so the refined CFGs are complete when post-dominators are queried.
-func forwardThread(tr *tracer.Trace, an *cfg.Analyzer, cand *srCandidates, tid int, local []tracer.Entry) (threadForward, error) {
-	res := threadForward{
-		parents: make([]tracer.Ref, len(local)),
-		bypass:  make(map[tracer.Ref]bypassInfo),
+//
+// With a nil parentCol the parents come back per local position in
+// res.parents. Otherwise BuildGlobal must have run and each entry's
+// parent is written to parentCol at the entry's global position, as the
+// parent's global position (-1 for none); threads own disjoint
+// positions, so concurrent passes may share one column.
+func forwardThread(tr *tracer.Trace, an *cfg.Analyzer, cand *srCandidates, tid int, local []tracer.Entry, parentCol []int32) (threadForward, error) {
+	res := threadForward{ext: tracer.NewExtents()}
+	var gpos []int32
+	if parentCol == nil {
+		res.parents = make([]tracer.Ref, len(local))
+	} else if gpos = tr.GlobalPositions(tid); len(gpos) != len(local) {
+		return res, fmt.Errorf("slice: thread %d has no complete global trace positions", tid)
 	}
 	parents := res.parents
 	var stack []cdEntry
@@ -143,9 +164,12 @@ func forwardThread(tr *tracer.Trace, an *cfg.Analyzer, cand *srCandidates, tid i
 	var nextFrameID int64 = 1
 	var frameIDs = []int64{0} // current frame id stack (root = 0)
 
-	spawnParent := noParent
+	spawnParent, spawnG := noParent, int32(-1)
 	if sp, ok := tr.SpawnEvent[tid]; ok {
 		spawnParent = sp
+		if g, ok := tr.GlobalPosOf(sp); ok {
+			spawnG = int32(g)
+		}
 	}
 
 	for pos := range local {
@@ -165,11 +189,17 @@ func forwardThread(tr *tracer.Trace, an *cfg.Analyzer, cand *srCandidates, tid i
 		}
 
 		// Control parent.
-		if len(stack) > 0 {
+		switch {
+		case parentCol == nil && len(stack) > 0:
 			parents[pos] = stack[len(stack)-1].ref
-		} else {
+		case parentCol == nil:
 			parents[pos] = spawnParent
+		case len(stack) > 0:
+			parentCol[gpos[pos]] = gpos[stack[len(stack)-1].ref.Pos]
+		default:
+			parentCol[gpos[pos]] = spawnG
 		}
+		res.ext.Observe(e)
 
 		switch {
 		case e.Instr.Op == isa.CALL || e.Instr.Op == isa.CALLI:
@@ -219,8 +249,9 @@ func forwardThread(tr *tracer.Trace, an *cfg.Analyzer, cand *srCandidates, tid i
 					if s.reg == e.Instr.Rd && s.addr == e.EffAddr && s.val == e.MemVal {
 						reg := tracer.RegLoc(tid, s.reg)
 						slot := tracer.MemLoc(s.addr)
-						res.bypass[s.ref] = bypassInfo{role: bypassSave, reg: reg, slot: slot}
-						res.bypass[here] = bypassInfo{role: bypassRestore, reg: reg, slot: slot}
+						res.bypass = append(res.bypass,
+							bypassEntry{s.ref, bypassInfo{role: bypassSave, reg: reg, slot: slot}},
+							bypassEntry{here, bypassInfo{role: bypassRestore, reg: reg, slot: slot}})
 						res.pairs++
 						saves = append(saves[:i], saves[i+1:]...)
 						break

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -42,7 +42,7 @@ type ParallelOptions struct {
 type EngineStats struct {
 	Workers    int   // resolved worker count
 	Shards     int   // dependence-shard windows built
-	IndexDefs  int64 // definitions in the stitched index
+	IndexDefs  int64 // definitions stored in the dependence columns
 	Queries    int64 // Slice calls answered so far
 	IndexSteps int64 // demand-resolution events across all queries
 }
@@ -50,18 +50,18 @@ type EngineStats struct {
 // ParallelSlicer computes backward dynamic slices with the sharded
 // engine: the forward pass (CFG refinement, control parents,
 // save/restore verification) runs one thread per worker, the global
-// trace is cut into checkpoint-cadence windows whose definition shards
+// trace is cut into checkpoint-cadence windows whose dependence columns
 // are built concurrently and stitched deterministically, and each query
-// then resolves demands by binary search in the stitched index instead
-// of re-walking the trace.
+// then reads every demand's next definition from the columns instead of
+// re-walking the trace.
 //
 // The engine is bit-identical to the sequential Slicer by construction:
 // a query simulates the exact backward sweep of Slicer.Slice — same
 // demand set, same per-entry match selection, same save/restore
 // bypasses, same exemplar-edge order — but visits only the positions
 // where something can happen (the next pending definition or control
-// parent), which the index serves in O(log n). Results therefore do
-// not depend on the worker count, only the build cost does.
+// parent), which the columns give in O(1). Results therefore do not
+// depend on the worker count, only the build cost does.
 //
 // A built engine is immutable and safe for concurrent Slice calls.
 type ParallelSlicer struct {
@@ -69,16 +69,28 @@ type ParallelSlicer struct {
 	Trace *tracer.Trace
 	Opts  Options
 
-	analyzer *cfg.Analyzer
-	fwd      *forward
-	idx      *tracer.DefIndex
+	// locals is Trace.Locals indexed by thread id, so the query loop
+	// reads entries without map probes.
+	locals [][]tracer.Entry
+	space  tracer.LocSpace
+	cols   *defColumns
+	// parent is the control parent's global position of the entry at
+	// each global position, -1 for none.
+	parent []int32
 	// bypassAt flags the global positions of verified save/restore
 	// entries; bypassRank and bypassInfos form its rank directory, so a
-	// query reads an entry's bypass roles with popcount arithmetic
-	// instead of probing the (large) forward-pass map.
+	// query reads an entry's bypass roles with popcount arithmetic.
 	bypassAt    []uint64
 	bypassRank  []int32
 	bypassInfos []bypassInfo
+	// pairs and cfgRefinements are the forward pass's counters.
+	pairs          int64
+	cfgRefinements int64
+
+	// idx is the per-location definition index, built on first use by
+	// defIndex: only a resumed SliceShard query needs it.
+	idxOnce sync.Once
+	idx     *tracer.DefIndex
 
 	// Query scratches are pooled on an engine-owned free list rather
 	// than a sync.Pool: the arrays are tens of megabytes and rebuilding
@@ -87,10 +99,6 @@ type ParallelSlicer struct {
 	// query, for the engine's lifetime.
 	scratchMu sync.Mutex
 	scratches []*queryScratch
-	mkScratch func() *queryScratch
-	// depsHint tracks the largest dependence-edge count any query has
-	// produced, so later queries allocate their result once.
-	depsHint atomic.Int64
 
 	workers    int
 	windowSize int
@@ -155,15 +163,17 @@ func (ws *wantedSet) del(l tracer.Loc) {
 }
 
 // queryScratch is the reusable allocation block of one Slice call:
-// the demand set, the member bitset, the candidate heap and the drain
-// buffer. Engines pool scratches so repeated queries (the cyclic
-// debugging loop) allocate only their results.
+// the demand set, the member bitset, the candidate heap, the drain
+// buffer and the dependence-edge buffer. Engines pool scratches so
+// repeated queries (the cyclic debugging loop) allocate only their
+// results.
 type queryScratch struct {
 	ws      wantedSet
 	members []uint64
 	events  []uint64
 	h       candHeap
 	batch   []tracer.Loc
+	deps    []DepEdge
 }
 
 // getScratch pops a pooled scratch or builds a fresh one.
@@ -175,7 +185,17 @@ func (s *ParallelSlicer) getScratch() *queryScratch {
 		s.scratches = s.scratches[:n-1]
 		return sc
 	}
-	return s.mkScratch()
+	return &queryScratch{
+		ws: wantedSet{
+			space: s.space,
+			bits:  make([]uint64, s.space.Total()/64+1),
+			ref:   make([]tracer.Ref, s.space.Total()),
+			over:  make(map[tracer.Loc]tracer.Ref),
+		},
+		members: make([]uint64, len(s.Trace.Global)/64+1),
+		events:  make([]uint64, len(s.Trace.Global)/64+1),
+		batch:   make([]tracer.Loc, 0, 16),
+	}
 }
 
 func (s *ParallelSlicer) putScratch(sc *queryScratch) {
@@ -184,8 +204,9 @@ func (s *ParallelSlicer) putScratch(sc *queryScratch) {
 	s.scratchMu.Unlock()
 }
 
-// NewParallel builds the parallel engine: forward-pass metadata and the
-// per-window dependence shards, computed on a bounded worker pool.
+// NewParallel builds the parallel engine: the forward pass, one thread
+// per job, then the per-window dependence columns, on a bounded worker
+// pool.
 func NewParallel(prog *isa.Program, tr *tracer.Trace, opts Options, popts ParallelOptions) (*ParallelSlicer, error) {
 	if opts.MaxSave == 0 {
 		opts.MaxSave = 10
@@ -212,73 +233,66 @@ func NewParallel(prog *isa.Program, tr *tracer.Trace, opts Options, popts Parall
 	if err := buildCancelled(popts.Ctx); err != nil {
 		return nil, err
 	}
-	fwd, err := runForwardParallel(popts.Ctx, tr, an, cand, !opts.DisableRefinement, workers)
-	if err != nil {
-		return nil, err
-	}
-	windowSize := popts.WindowSize
-	if windowSize <= 0 {
-		windowSize = tracer.DefaultLPBlock
-	}
-	windows := tracer.SplitWindows(len(tr.Global), windowSize)
-	idx, err := tracer.BuildDefIndexCtx(popts.Ctx, tr, windows, workers)
-	if err != nil {
-		return nil, err
-	}
-
-	// Bypass rank directory: bitset over global positions plus the
-	// per-word rank prefix into the position-ordered info array. Two
-	// passes over the forward-pass map — set the bits, then place each
-	// info at its rank — avoid sorting.
-	bypassAt := make([]uint64, len(tr.Global)/64+1)
-	for ref := range fwd.bypass {
-		if g, ok := tr.GlobalPosOf(ref); ok {
-			bypassAt[g>>6] |= 1 << (g & 63)
-		}
-	}
-	bypassRank := make([]int32, len(bypassAt))
-	rank := int32(0)
-	for w, word := range bypassAt {
-		bypassRank[w] = rank
-		rank += int32(bits.OnesCount64(word))
-	}
-	bypassInfos := make([]bypassInfo, rank)
-	for ref, bp := range fwd.bypass {
-		if g, ok := tr.GlobalPosOf(ref); ok {
-			w, b := g>>6, uint(g&63)
-			bypassInfos[int(bypassRank[w])+bits.OnesCount64(bypassAt[w]&(1<<b-1))] = bp
-		}
-	}
-
-	s := &ParallelSlicer{
-		Prog:        prog,
-		Trace:       tr,
-		Opts:        opts,
-		analyzer:    an,
-		fwd:         fwd,
-		idx:         idx,
-		bypassAt:    bypassAt,
-		bypassRank:  bypassRank,
-		bypassInfos: bypassInfos,
-		workers:     workers,
-		windowSize:  windowSize,
-	}
-	space := idx.Space()
 	nGlobal := len(tr.Global)
-	s.mkScratch = func() *queryScratch {
-		return &queryScratch{
-			ws: wantedSet{
-				space: space,
-				bits:  make([]uint64, space.Total()/64+1),
-				ref:   make([]tracer.Ref, space.Total()),
-				over:  make(map[tracer.Loc]tracer.Ref),
-			},
-			members: make([]uint64, nGlobal/64+1),
-			events:  make([]uint64, nGlobal/64+1),
-			batch:   make([]tracer.Loc, 0, 16),
-		}
+	s := &ParallelSlicer{
+		Prog:       prog,
+		Trace:      tr,
+		Opts:       opts,
+		locals:     tr.ThreadLocals(),
+		parent:     make([]int32, nGlobal),
+		workers:    workers,
+		windowSize: popts.WindowSize,
+	}
+	if s.windowSize <= 0 {
+		s.windowSize = tracer.DefaultLPBlock
+	}
+	threads, err := s.forwardPass(popts.Ctx, an, cand, !opts.DisableRefinement)
+	if err != nil {
+		return nil, err
+	}
+	ext := tracer.NewExtents()
+	for i := range threads {
+		ext.Merge(threads[i].ext)
+		s.pairs += threads[i].pairs
+	}
+	s.space = ext.Space()
+	s.buildBypassDir(threads)
+	windows := tracer.SplitWindows(nGlobal, s.windowSize)
+	if s.cols, err = buildColumns(popts.Ctx, tr, s.locals, s.space, windows, s.windowSize, workers); err != nil {
+		return nil, err
 	}
 	return s, nil
+}
+
+// buildBypassDir builds the bypass rank directory — a bitset over global
+// positions plus the per-word rank prefix into the position-ordered info
+// array — from the threads' verified save/restore entries: one pass sets
+// the bits, a second places each info at its rank, so nothing is sorted.
+func (s *ParallelSlicer) buildBypassDir(threads []threadForward) {
+	tr := s.Trace
+	s.bypassAt = make([]uint64, len(tr.Global)/64+1)
+	for i := range threads {
+		for _, b := range threads[i].bypass {
+			if g, ok := tr.GlobalPosOf(b.ref); ok {
+				s.bypassAt[g>>6] |= 1 << (g & 63)
+			}
+		}
+	}
+	s.bypassRank = make([]int32, len(s.bypassAt))
+	rank := int32(0)
+	for w, word := range s.bypassAt {
+		s.bypassRank[w] = rank
+		rank += int32(bits.OnesCount64(word))
+	}
+	s.bypassInfos = make([]bypassInfo, rank)
+	for i := range threads {
+		for _, b := range threads[i].bypass {
+			if g, ok := tr.GlobalPosOf(b.ref); ok {
+				w, bit := g>>6, uint(g&63)
+				s.bypassInfos[int(s.bypassRank[w])+bits.OnesCount64(s.bypassAt[w]&(1<<bit-1))] = b.info
+			}
+		}
+	}
 }
 
 // bypassAtPos returns the bypass roles of the entry at global position g
@@ -297,11 +311,21 @@ func (s *ParallelSlicer) bypassAtPos(g int) (bypassInfo, bool) {
 func (s *ParallelSlicer) Stats() EngineStats {
 	return EngineStats{
 		Workers:    s.workers,
-		Shards:     s.idx.Shards,
-		IndexDefs:  s.idx.DefCount(),
+		Shards:     len(s.cols.win),
+		IndexDefs:  s.cols.defs,
 		Queries:    s.queries.Load(),
 		IndexSteps: s.indexSteps.Load(),
 	}
+}
+
+// defIndex returns the per-location definition index, building it on
+// first use. Monolithic queries never need it; a resumed shard query
+// does, to find each live demand's last definition below its bound.
+func (s *ParallelSlicer) defIndex() *tracer.DefIndex {
+	s.idxOnce.Do(func() {
+		s.idx = tracer.BuildDefIndex(s.Trace, tracer.SplitWindows(len(s.Trace.Global), s.windowSize), s.workers)
+	})
+	return s.idx
 }
 
 // buildCancelled reports a (possibly nil) build context's cancellation
@@ -314,104 +338,52 @@ func buildCancelled(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// runForwardParallel is runForward with both phases fanned out over the
-// worker pool. Phase 1 (indirect-target observation) is a set union, so
-// the refinement count and the refined CFGs are independent of worker
-// interleaving; phase 2 runs each thread's Xin-Zhang stack — threads
-// are mutually independent — and merges per-thread results in thread-id
-// order. A cancelled ctx stops the pools between per-thread jobs and
-// fails the build with ctx's error.
-func runForwardParallel(ctx context.Context, tr *tracer.Trace, an *cfg.Analyzer, cand *srCandidates, refine bool, workers int) (*forward, error) {
-	tids := make([]int, 0, len(tr.Locals))
-	for tid := range tr.Locals {
-		tids = append(tids, tid)
+// forwardPass is runForward with both phases fanned out over the worker
+// pool, one thread per job. Phase 1 (indirect-target observation) is a
+// set union, so the refinement count and the refined CFGs are
+// independent of worker interleaving; phase 2 runs each thread's
+// Xin-Zhang stack — threads are mutually independent — writing parents
+// straight into the engine's parent column and returning the per-thread
+// results in thread-id order. A cancelled ctx stops the pools between
+// per-thread jobs and fails the build with ctx's error.
+func (s *ParallelSlicer) forwardPass(ctx context.Context, an *cfg.Analyzer, cand *srCandidates, refine bool) ([]threadForward, error) {
+	var tids []int
+	for tid, l := range s.locals {
+		if l != nil {
+			tids = append(tids, tid)
+		}
 	}
-	sort.Ints(tids)
-
-	runPool := func(job func(tid int)) {
-		n := workers
-		if n > len(tids) {
-			n = len(tids)
-		}
-		if n <= 1 {
-			for _, tid := range tids {
-				if buildCancelled(ctx) != nil {
-					return
-				}
-				job(tid)
-			}
-			return
-		}
-		next := make(chan int, len(tids))
-		for _, tid := range tids {
-			next <- tid
-		}
-		close(next)
-		var wg sync.WaitGroup
-		for k := 0; k < n; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for tid := range next {
-					if buildCancelled(ctx) != nil {
-						continue // drain the queue without working
-					}
-					job(tid)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
-	var refs atomic.Int64
 	if refine {
-		runPool(func(tid int) {
-			refs.Add(observeIndirects(an, tr.Locals[tid]))
-		})
-	}
-	if err := buildCancelled(ctx); err != nil {
-		return nil, err
-	}
-
-	results := make(map[int]threadForward, len(tids))
-	errs := make(map[int]error, len(tids))
-	var mu sync.Mutex
-	runPool(func(tid int) {
-		res, err := forwardThread(tr, an, cand, tid, tr.Locals[tid])
-		mu.Lock()
-		results[tid] = res
-		errs[tid] = err
-		mu.Unlock()
-	})
-	if err := buildCancelled(ctx); err != nil {
-		return nil, err
-	}
-
-	f := &forward{
-		parent:         make(map[int][]tracer.Ref, len(tids)),
-		bypass:         make(map[tracer.Ref]bypassInfo),
-		cfgRefinements: refs.Load(),
-	}
-	for _, tid := range tids {
-		if err := errs[tid]; err != nil {
+		var refs atomic.Int64
+		if err := runPool(ctx, len(tids), s.workers, func(_, i int) {
+			refs.Add(observeIndirects(an, s.locals[tids[i]]))
+		}); err != nil {
 			return nil, err
 		}
-		res := results[tid]
-		f.parent[tid] = res.parents
-		for ref, bp := range res.bypass {
-			f.bypass[ref] = bp
-		}
-		f.pairs += res.pairs
+		s.cfgRefinements = refs.Load()
 	}
-	return f, nil
+	threads := make([]threadForward, len(tids))
+	errs := make([]error, len(tids))
+	if err := runPool(ctx, len(tids), s.workers, func(_, i int) {
+		threads[i], errs[i] = forwardThread(s.Trace, an, cand, tids[i], s.locals[tids[i]], s.parent)
+	}); err != nil {
+		return nil, err
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return threads, nil
 }
 
 // demandCand is one pending resolution event of a query: either "the
 // next definition of loc is at pos" or "the control parent awaited at
-// pos" (event). Stale entries are filtered at pop time.
+// pos" (event). Stale entries are filtered at pop time. loc comes first
+// so the struct packs into 16 bytes.
 type demandCand struct {
-	pos   int32
 	loc   tracer.Loc
+	pos   int32
 	event bool
 }
 
@@ -469,9 +441,10 @@ type query struct {
 	crit     tracer.Ref
 	startPos int
 	// deps collects the dependence edges appended during the current
-	// range. A suspending query folds them into depHash/depCount (result
-	// payloads carry counts and a digest, not the edge list); a
-	// monolithic query hands them to the Slice result untouched.
+	// range, in the scratch's reused buffer. A suspending query folds
+	// them into depHash/depCount (result payloads carry counts and a
+	// digest, not the edge list); a monolithic query copies them into
+	// the Slice result.
 	deps     []DepEdge
 	depHash  uint64
 	depCount int64
@@ -500,17 +473,16 @@ func (s *ParallelSlicer) newQuery(crit tracer.Ref) (*query, error) {
 		sc:       sc,
 		crit:     crit,
 		startPos: startPos,
-		// deps is sized from the engine's running maximum so
-		// steady-state queries allocate their result exactly once.
-		deps:    make([]DepEdge, 0, s.depsHint.Load()),
-		depHash: fnvOffset,
-		batch:   sc.batch[:0],
+		deps:     sc.deps[:0],
+		depHash:  fnvOffset,
+		batch:    sc.batch[:0],
 	}, nil
 }
 
 // release returns the scratch to the engine pool and flushes counters.
 func (q *query) release() {
 	q.sc.batch = q.batch
+	q.sc.deps = q.deps[:0]
 	q.s.putScratch(q.sc)
 	q.s.indexSteps.Add(q.steps)
 	q.steps = 0
@@ -521,15 +493,14 @@ func (q *query) isMember(g int) bool {
 }
 
 // demand mirrors the sequential `wanted[l] = ...; wantedBy[l] = ref`
-// writes: a fresh demand gets its next-definition candidate from the
-// index; re-demanding an already-wanted location only retargets the
-// requester (the pending candidate stays correct — every definition
-// between it and `at` has already been processed).
-func (q *query) demand(l tracer.Loc, ref tracer.Ref, at int) {
-	if q.sc.ws.add(l, ref) {
-		if p, ok := q.s.idx.NearestDefBefore(l, at); ok {
-			q.sc.h.push(demandCand{pos: int32(p), loc: l})
-		}
+// writes: a fresh demand gets its next-definition candidate — def, the
+// reaching definition of l at the demanding position, from the columns;
+// re-demanding an already-wanted location only retargets the requester
+// (the pending candidate stays correct — every definition between it
+// and the demanding position has already been processed).
+func (q *query) demand(l tracer.Loc, ref tracer.Ref, def int32) {
+	if q.sc.ws.add(l, ref) && def >= 0 {
+		q.sc.h.push(demandCand{pos: def, loc: l})
 	}
 }
 
@@ -540,7 +511,7 @@ func (q *query) include(gpos int, ref tracer.Ref, defs []tracer.Loc) {
 		return
 	}
 	q.sc.members[gpos>>6] |= 1 << (gpos & 63)
-	e := q.s.Trace.Entry(ref)
+	e := &q.s.locals[ref.Tid][ref.Pos]
 	if defs == nil {
 		defs = tracer.Defs(e, q.locBuf[:0])
 	}
@@ -548,25 +519,24 @@ func (q *query) include(gpos int, ref tracer.Ref, defs []tracer.Loc) {
 	for _, l := range defs {
 		q.sc.ws.del(l)
 	}
-	for _, l := range tracer.Uses(e, q.locBuf[:0]) {
-		q.demand(l, ref, gpos)
+	links := q.s.cols.links(gpos)
+	for k, l := range tracer.Uses(e, q.locBuf[:0]) {
+		q.demand(l, ref, links[k])
 	}
 	if q.s.Opts.ControlDeps {
-		if p, ok := q.s.fwd.parentOf(ref); ok {
-			if pg, ok := q.s.Trace.GlobalPosOf(p); ok && pg <= q.startPos {
-				if !q.isMember(pg) {
-					// sc.events flags the global positions with a pending
-					// control parent. The sequential sweep keys its map by
-					// position too, and the demanding member is never read
-					// back (the control edge is emitted at demand time), so
-					// presence bits carry the whole state.
-					if q.sc.events[pg>>6]&(1<<(pg&63)) == 0 {
-						q.sc.events[pg>>6] |= 1 << (pg & 63)
-						q.sc.h.push(demandCand{pos: int32(pg), event: true})
-					}
+		if pg := int(q.s.parent[gpos]); pg >= 0 && pg <= q.startPos {
+			if !q.isMember(pg) {
+				// sc.events flags the global positions with a pending
+				// control parent. The sequential sweep keys its map by
+				// position too, and the demanding member is never read
+				// back (the control edge is emitted at demand time), so
+				// presence bits carry the whole state.
+				if q.sc.events[pg>>6]&(1<<(pg&63)) == 0 {
+					q.sc.events[pg>>6] |= 1 << (pg & 63)
+					q.sc.h.push(demandCand{pos: int32(pg), event: true})
 				}
-				q.deps = append(q.deps, DepEdge{From: ref, To: p, Kind: DepControl})
 			}
+			q.deps = append(q.deps, DepEdge{From: ref, To: q.s.Trace.Global[pg], Kind: DepControl})
 		}
 	}
 }
@@ -576,7 +546,8 @@ func (q *query) include(gpos int, ref tracer.Ref, defs []tracer.Loc) {
 // below lo. runTo(0) is the complete sweep; a positive lo suspends the
 // query at a window boundary with its state capturable by captureState.
 func (q *query) runTo(lo int) {
-	tr := q.s.Trace
+	s := q.s
+	tr := s.Trace
 	wanted := &q.sc.ws
 	wantedEvents := q.sc.events
 	h := &q.sc.h
@@ -614,17 +585,18 @@ func (q *query) runTo(lo int) {
 			continue // all drained demands went stale since they were pushed
 		}
 		ref := tr.Global[g]
+		e := &s.locals[ref.Tid][ref.Pos]
 
 		// Save/restore bypass: same redirection as the sequential sweep.
 		// A verified save/restore entry defines exactly one tracked
 		// location (the PUSH's slot or the POP's register; SP is excluded
 		// from dependence tracking), recorded in its bypass info — so the
-		// match is decided against the batch without decoding the entry,
-		// which matters: bypass hops dominate the event count on
-		// call-heavy traces. The entry is not included, so any other
+		// match is decided against the batch without decoding the entry's
+		// definitions, which matters: bypass hops dominate the event count
+		// on call-heavy traces. The entry is not included, so any other
 		// demand whose candidate was this position must look further back.
-		if q.s.Opts.PruneSaveRestore {
-			if bp, isBp := q.s.bypassAtPos(g); isBp {
+		if s.Opts.PruneSaveRestore {
+			if bp, isBp := s.bypassAtPos(g); isBp {
 				from, to := bp.slot, bp.reg
 				if bp.role == bypassRestore {
 					from, to = bp.reg, bp.slot
@@ -641,12 +613,14 @@ func (q *query) runTo(lo int) {
 				}
 				requester, _ := wanted.get(from)
 				wanted.del(from)
-				q.demand(to, requester, g)
+				// The entry uses `to`: the saved register for a save, the
+				// stack slot for a restore.
+				q.demand(to, requester, s.cols.useDef(e, g, to))
 				q.pruned++
 				for _, l := range batch {
 					if wanted.has(l) {
-						if p, ok := q.s.idx.NearestDefBefore(l, g); ok {
-							h.push(demandCand{pos: int32(p), loc: l})
+						if p := s.cols.prevDef(e, g, l); p >= 0 {
+							h.push(demandCand{pos: p, loc: l})
 						}
 					}
 				}
@@ -659,7 +633,6 @@ func (q *query) runTo(lo int) {
 		// Every wanted location this entry defines has its candidate in
 		// the drained batch (candidates pop in position order), so the
 		// batch doubles as the set of live demands to match against.
-		e := tr.Entry(ref)
 		defs := tracer.Defs(e, q.locBuf[:0])
 		matched := tracer.Loc(0)
 		found := false
@@ -686,11 +659,12 @@ func (q *query) runTo(lo int) {
 	q.batch = batch
 }
 
-// finish materialises the completed query's Slice result.
+// finish materialises the completed query's Slice result. Deps gets an
+// exact-size copy: the query's buffer stays with the pooled scratch.
 func (q *query) finish() *Slice {
-	out := &Slice{Criterion: q.crit, Deps: q.deps}
-	if n := int64(len(q.deps)); n > q.s.depsHint.Load() {
-		q.s.depsHint.Store(n)
+	out := &Slice{Criterion: q.crit, Deps: slices.Clone(q.deps)}
+	if out.Deps == nil {
+		out.Deps = []DepEdge{}
 	}
 	// Materialise members in global order straight off the bitset. The
 	// membership map is left to Contains to build on demand.
@@ -709,15 +683,15 @@ func (q *query) finish() *Slice {
 	}
 	out.Stats.TraceLen = len(q.s.Trace.Global)
 	out.Stats.Members = len(out.Members)
-	out.Stats.VerifiedPairs = q.s.fwd.pairs
-	out.Stats.CFGRefinements = q.s.fwd.cfgRefinements
+	out.Stats.VerifiedPairs = q.s.pairs
+	out.Stats.CFGRefinements = q.s.cfgRefinements
 	out.Stats.PrunedBypasses = q.pruned
 	return out
 }
 
 // Slice computes the backward dynamic slice of the criterion. See the
 // type comment: this is an event-driven simulation of Slicer.Slice over
-// the stitched definition index, producing an identical Slice.
+// the stitched dependence columns, producing an identical Slice.
 func (s *ParallelSlicer) Slice(crit tracer.Ref) (*Slice, error) {
 	q, err := s.newQuery(crit)
 	if err != nil {

@@ -147,10 +147,11 @@ func (s *ParallelSlicer) resumeQuery(st *QueryState) (*query, error) {
 		return nil, err
 	}
 	q.depHash, q.depCount, q.pruned = st.DepHash, st.DepCount, st.Pruned
+	idx := s.defIndex()
 	for _, w := range st.Wanted {
 		l := tracer.Loc(w.Loc)
 		q.sc.ws.add(l, tracer.Ref{Tid: w.Tid, Pos: w.Pos})
-		if p, ok := s.idx.NearestDefBefore(l, st.Bound); ok {
+		if p, ok := idx.NearestDefBefore(l, st.Bound); ok {
 			q.sc.h.push(demandCand{pos: int32(p), loc: l})
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/slice"
@@ -205,6 +206,64 @@ func TestShardCrossEngineResume(t *testing.T) {
 			t.Fatalf("crit %d: cross-engine %+v != monolithic %+v", ci, got, want)
 		}
 	}
+}
+
+// TestShardConcurrentResume resumes suspended queries from several
+// goroutines at once on an engine that has not resumed any query yet,
+// so they race to the lazily built definition index; every query must
+// still finish with the monolithic result.
+func TestShardConcurrentResume(t *testing.T) {
+	prog, _, tr := fuzzProgram(t, 4)
+	opts := optionsForSeed(4)
+	build := func() *slice.ParallelSlicer {
+		eng, err := slice.NewParallel(prog, tr, opts, slice.ParallelOptions{Workers: 2, WindowSize: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	first, eng := build(), build()
+	crits := criteriaOf(t, tr)
+	states := make([]*slice.QueryState, len(crits))
+	want := make([]slice.Summary, len(crits))
+	for i, crit := range crits {
+		mono, err := first.Slice(crit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = slice.Summarize(mono)
+		bound, _ := first.StartBound(crit)
+		if states[i], err = first.SliceShard(crit, nil, first.NextShardLo(bound, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	suspended := 0
+	for _, st := range states {
+		if !st.Done {
+			suspended++
+		}
+	}
+	if suspended == 0 {
+		t.Fatal("no query suspended after its first shard")
+	}
+	var wg sync.WaitGroup
+	for i := range crits {
+		for k := 0; k < 2; k++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				st, err := eng.SliceShard(crits[i], states[i], 0)
+				if err != nil {
+					t.Errorf("crit %d: resume: %v", i, err)
+					return
+				}
+				if got, err := eng.SummarizeState(st); err != nil || got != want[i] {
+					t.Errorf("crit %d: resumed %+v (%v), monolithic %+v", i, got, err, want[i])
+				}
+			}()
+		}
+	}
+	wg.Wait()
 }
 
 // TestShardStateVersionGuard: a state with a wrong version must be

@@ -1,9 +1,9 @@
 package tracer
 
 import (
-	"context"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/vm"
 )
@@ -42,37 +42,74 @@ func SplitWindows(n, size int) []Window {
 // of its definitions, plus the window's location-space extents (used to
 // size the dense lookup tables).
 type defShard struct {
-	defs     map[Loc][]int32
-	maxLow   int64 // highest accessed address below vm.StackBase, -1 if none
-	maxStack int64 // highest accessed address - vm.StackBase, -1 if none
-	maxTid   int32 // highest thread id seen, -1 if none
+	defs map[Loc][]int32
+	ext  Extents
 }
 
 // buildShard scans one window of the global trace. Positions within a
 // window are visited in ascending order, so each per-location list is
 // already sorted.
 func buildShard(t *Trace, w Window) defShard {
-	sh := defShard{defs: make(map[Loc][]int32, 64), maxLow: -1, maxStack: -1, maxTid: -1}
+	sh := defShard{defs: make(map[Loc][]int32, 64), ext: NewExtents()}
 	var buf [8]Loc
 	for g := w.Lo; g < w.Hi; g++ {
 		e := t.Entry(t.Global[g])
 		for _, l := range Defs(e, buf[:0]) {
 			sh.defs[l] = append(sh.defs[l], int32(g))
 		}
-		if e.Tid > int(sh.maxTid) {
-			sh.maxTid = int32(e.Tid)
-		}
-		if a := e.EffAddr; a >= 0 {
-			if a >= vm.StackBase {
-				if s := a - vm.StackBase; s > sh.maxStack {
-					sh.maxStack = s
-				}
-			} else if a > sh.maxLow {
-				sh.maxLow = a
-			}
-		}
+		sh.ext.Observe(e)
 	}
 	return sh
+}
+
+// Extents accumulates the location-space extents of a set of trace
+// entries: the highest accessed address below vm.StackBase, the highest
+// stack offset and the highest thread id, each -1 when none was seen.
+// Extents of disjoint entry sets merge by maximum, so per-window or
+// per-thread scans combine into the whole trace's LocSpace in any order.
+type Extents struct {
+	MaxLow   int64
+	MaxStack int64
+	MaxTid   int32
+}
+
+// NewExtents returns the extents of no entries.
+func NewExtents() Extents { return Extents{MaxLow: -1, MaxStack: -1, MaxTid: -1} }
+
+// Observe widens the extents to cover e.
+func (x *Extents) Observe(e *Entry) {
+	if int32(e.Tid) > x.MaxTid {
+		x.MaxTid = int32(e.Tid)
+	}
+	if a := e.EffAddr; a >= 0 {
+		if a >= vm.StackBase {
+			x.MaxStack = max(x.MaxStack, a-vm.StackBase)
+		} else {
+			x.MaxLow = max(x.MaxLow, a)
+		}
+	}
+}
+
+// Merge widens the extents to cover o's entries too.
+func (x *Extents) Merge(o Extents) {
+	x.MaxLow = max(x.MaxLow, o.MaxLow)
+	x.MaxStack = max(x.MaxStack, o.MaxStack)
+	x.MaxTid = max(x.MaxTid, o.MaxTid)
+}
+
+// Space returns the dense location space covering the extents. Regions
+// wider than denseCap are left out (their locations report false from
+// Index and must use a map fallback).
+func (x Extents) Space() LocSpace {
+	ls := LocSpace{StackLo: vm.StackBase}
+	if x.MaxLow >= 0 && x.MaxLow < denseCap {
+		ls.MemSpan = x.MaxLow + 1
+	}
+	if x.MaxStack >= 0 && x.MaxStack < denseCap {
+		ls.StackSpan = x.MaxStack + 1
+	}
+	ls.RegSpan = (int64(x.MaxTid) + 1) << 8
+	return ls
 }
 
 // LocSpace describes the compact regions of the dependence-location
@@ -137,9 +174,10 @@ func (ls LocSpace) LocAt(i int) Loc {
 // positions of its dynamic definitions. It is the stitched form of the
 // per-window dependence shards: a demand "who last defined location l
 // before position g" resolves with one binary search instead of a
-// backward trace walk. The index depends only on the trace, never on a
-// slicing criterion, so one build serves every slice query over the
-// region — the cacheable artefact of the parallel engine.
+// backward trace walk, for any location and any position. The parallel
+// slicing engine answers its own queries from per-position dependence
+// columns; it builds this index only to resume a suspended query, whose
+// live demands sit at an arbitrary window bound.
 type DefIndex struct {
 	defs map[Loc][]int32
 	// space and dense form a direct-indexed view of defs over the
@@ -156,18 +194,11 @@ type DefIndex struct {
 // stay on the map fallback rather than allocating huge tables.
 const denseCap = 1 << 21
 
-// buildDense sizes the location space from the shard extents and
+// buildDense sizes the location space from the merged extents and
 // populates the direct-indexed view (it shares the map's position
 // slices, so this costs only the table headers).
-func (idx *DefIndex) buildDense(maxLow, maxStack int64, maxTid int32) {
-	ls := LocSpace{StackLo: vm.StackBase}
-	if maxLow >= 0 && maxLow < denseCap {
-		ls.MemSpan = maxLow + 1
-	}
-	if maxStack >= 0 && maxStack < denseCap {
-		ls.StackSpan = maxStack + 1
-	}
-	ls.RegSpan = (int64(maxTid) + 1) << 8
+func (idx *DefIndex) buildDense(ext Extents) {
+	ls := ext.Space()
 	idx.space = ls
 	idx.dense = make([][]int32, ls.Total())
 	for l, ps := range idx.defs {
@@ -176,11 +207,6 @@ func (idx *DefIndex) buildDense(maxLow, maxStack int64, maxTid int32) {
 		}
 	}
 }
-
-// Space returns the trace's dense location space, shared with callers
-// that want direct-indexed tables of their own (the parallel engine's
-// per-query demand set).
-func (idx *DefIndex) Space() LocSpace { return idx.space }
 
 // positionsOf returns loc's ascending definition positions.
 func (idx *DefIndex) positionsOf(l Loc) []int32 {
@@ -196,82 +222,33 @@ func (idx *DefIndex) positionsOf(l Loc) []int32 {
 // identical regardless of worker count or completion order. BuildGlobal
 // must have run.
 func BuildDefIndex(t *Trace, windows []Window, workers int) *DefIndex {
-	idx, _ := BuildDefIndexCtx(nil, t, windows, workers)
-	return idx
-}
-
-// ctxDone reports whether ctx (which may be nil) is cancelled. Build
-// workers poll it between window shards, so cancellation only needs
-// Err() — Done() is never selected on, which lets tests drive
-// cancellation with deterministic counting contexts.
-func ctxDone(ctx context.Context) bool {
-	return ctx != nil && ctx.Err() != nil
-}
-
-// BuildDefIndexCtx is BuildDefIndex with cooperative cancellation: the
-// worker pool checks ctx between window shards, so an aborted or
-// preempted session stops burning workers promptly instead of finishing
-// every in-flight window. A cancelled build returns ctx's error and no
-// index. A nil ctx never cancels.
-func BuildDefIndexCtx(ctx context.Context, t *Trace, windows []Window, workers int) (*DefIndex, error) {
-	if workers < 1 {
-		workers = 1
-	}
 	shards := make([]defShard, len(windows))
-	if workers == 1 || len(windows) <= 1 {
-		for i, w := range windows {
-			if ctxDone(ctx) {
-				return nil, ctx.Err()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for k := 0; k < max(1, min(workers, len(windows))); k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(windows); i = int(next.Add(1) - 1) {
+				shards[i] = buildShard(t, windows[i])
 			}
-			shards[i] = buildShard(t, w)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int, len(windows))
-		for i := range windows {
-			next <- i
-		}
-		close(next)
-		for k := 0; k < workers; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					if ctxDone(ctx) {
-						continue // drain the queue without building
-					}
-					shards[i] = buildShard(t, windows[i])
-				}
-			}()
-		}
-		wg.Wait()
-		if ctxDone(ctx) {
-			return nil, ctx.Err()
-		}
+		}()
 	}
+	wg.Wait()
 
 	// Deterministic stitch: window order is position order, and each
 	// shard's lists are internally sorted, so concatenation yields
 	// globally sorted position lists.
 	idx := &DefIndex{defs: make(map[Loc][]int32, 256), Shards: len(windows)}
-	var maxLow, maxStack int64 = -1, -1
-	maxTid := int32(-1)
+	ext := NewExtents()
 	for i := range shards {
 		for l, ps := range shards[i].defs {
 			idx.defs[l] = append(idx.defs[l], ps...)
 		}
-		if shards[i].maxLow > maxLow {
-			maxLow = shards[i].maxLow
-		}
-		if shards[i].maxStack > maxStack {
-			maxStack = shards[i].maxStack
-		}
-		if shards[i].maxTid > maxTid {
-			maxTid = shards[i].maxTid
-		}
+		ext.Merge(shards[i].ext)
 	}
-	idx.buildDense(maxLow, maxStack, maxTid)
-	return idx, nil
+	idx.buildDense(ext)
+	return idx
 }
 
 // NearestDefBefore returns the greatest global position p < g at which

@@ -29,14 +29,10 @@ type constraint struct {
 // unconstrained entries in bulk: O(n + E log E) for n entries and E
 // constraints, with no per-entry map probes.
 func (t *Trace) BuildGlobal() error {
-	n := 0
-	for tid := range t.Locals {
-		n = max(n, tid+1)
-	}
-	locals := make([][]Entry, n)
+	locals := t.ThreadLocals()
+	n := len(locals)
 	total := 0
-	for tid, l := range t.Locals {
-		locals[tid] = l
+	for _, l := range locals {
 		total += len(l)
 	}
 

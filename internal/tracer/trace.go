@@ -93,6 +93,30 @@ func (t *Trace) GlobalPosOf(r Ref) (int, bool) {
 	return int(arr[r.Pos]), true
 }
 
+// GlobalPositions returns thread tid's local-to-global position map:
+// element pos is the global position of Ref{tid, pos}. BuildGlobal must
+// have run; callers must not modify the slice.
+func (t *Trace) GlobalPositions(tid int) []int32 {
+	if uint(tid) >= uint(len(t.globalPos)) {
+		return nil
+	}
+	return t.globalPos[tid]
+}
+
+// ThreadLocals returns the local traces indexed by thread id, nil for
+// ids without one, so hot loops can reach entries without map probes.
+func (t *Trace) ThreadLocals() [][]Entry {
+	n := 0
+	for tid := range t.Locals {
+		n = max(n, tid+1)
+	}
+	locals := make([][]Entry, n)
+	for tid, l := range t.Locals {
+		locals[tid] = l
+	}
+	return locals
+}
+
 // Len returns the total number of traced instructions.
 func (t *Trace) Len() int {
 	n := 0
