@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race verify bench bench-smoke chaos soak fleet-soak bench-durability ring-chaos bench-ring matrix-smoke store-chaos pipebench-test
+.PHONY: all build vet fmt-check test race verify bench bench-smoke chaos soak fleet-soak bench-durability ring-chaos bench-ring matrix-smoke store-chaos pipebench-test
 
 all: verify
 
@@ -9,6 +9,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fail if any Go file is not gofmt-formatted (lists the offenders).
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -311,7 +311,10 @@ func BenchmarkReverseStepBack(b *testing.B) {
 		interval := interval
 		name := map[int64]string{1_000: "ckpt1k", 10_000: "ckpt10k", 50_000: "ckpt50k"}[interval]
 		b.Run(name, func(b *testing.B) {
-			rr := sess.NewReverseReplayer(interval)
+			rr, err := sess.NewReverseReplayer(interval)
+			if err != nil {
+				b.Fatal(err)
+			}
 			if err := rr.RunTo(rr.Total()); err != nil {
 				b.Fatal(err)
 			}

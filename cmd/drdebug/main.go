@@ -71,11 +71,13 @@ func run(file, workload string, seed, quantum int64, input, pinballPath, script 
 		} else if sess, err = drdebug.LoadSession(prog, pinballPath); err != nil {
 			return err
 		}
-		d.UseSession(sess)
+		if err := d.UseSession(sess); err != nil {
+			return err
+		}
 		fmt.Printf("loaded pinball %s (%d instructions); starting in replay mode\n",
 			pinballPath, sess.Pinball.RegionInstrs)
 		if sess.Pinball.Gapped() {
-			fmt.Printf("flight-recorder pinball: %d evicted windows (%d instructions) will be bridged on first replay\n",
+			fmt.Printf("flight-recorder pinball: %d evicted windows (%d instructions) bridged by re-execution\n",
 				len(sess.Pinball.Evictions), sess.Pinball.GapInstrs())
 		}
 	}

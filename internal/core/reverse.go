@@ -3,59 +3,24 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/isa"
 	"repro/internal/pinplay"
 	"repro/internal/vm"
 )
 
 // ReverseReplayer adds reverse debugging on top of deterministic replay,
 // the way the paper's related-work section proposes for DrDebug:
-// checkpoint the architectural state periodically during (forward)
-// replay, and implement every backward command as "restore the nearest
-// earlier checkpoint, then replay forward" — user-level check-pointing
-// rather than OS support.
+// checkpoint the replay periodically during forward motion, and
+// implement every backward command as "restore the nearest earlier
+// checkpoint, then replay forward" — user-level check-pointing rather
+// than OS support. The checkpoints are pinplay.Cursor states, so the
+// replay is verified against the pinball's divergence checkpoints like
+// any other.
 //
-// Positions are measured in instructions executed since region entry; the
-// mapping from a position to scheduler and syscall-log state is exact
-// because replay is deterministic.
+// Positions are measured in instructions executed since region entry.
 type ReverseReplayer struct {
-	sess *Session
-
-	m        *vm.Machine
-	executed int64
-	total    int64
-
-	// Schedule cursor: quanta index and instructions consumed within it.
-	qi   int
-	qoff int64
-
-	// Nondeterministic syscalls consumed so far, per thread.
-	sysConsumed map[int]int
-	sysWatch    *sysCounter
-
+	c           *pinplay.Cursor
 	interval    int64
-	checkpoints []reverseCheckpoint
-}
-
-type reverseCheckpoint struct {
-	executed    int64
-	qi          int
-	qoff        int64
-	sysConsumed map[int]int
-	state       *vm.MachineState
-}
-
-// sysCounter counts nondeterministic syscall results consumed per thread.
-type sysCounter struct {
-	vm.NopTracer
-	consumed map[int]int
-}
-
-func (s *sysCounter) OnSyscall(r vm.SyscallRecord) {
-	switch r.Num {
-	case isa.SysRead, isa.SysTime, isa.SysRand:
-		s.consumed[r.Tid]++
-	}
+	checkpoints []*pinplay.CursorState
 }
 
 // DefaultCheckpointInterval is the spacing between reverse-debugging
@@ -63,117 +28,99 @@ func (s *sysCounter) OnSyscall(r vm.SyscallRecord) {
 const DefaultCheckpointInterval int64 = 10_000
 
 // NewReverseReplayer prepares a reverse-capable replay of the session's
-// pinball. interval is the checkpoint spacing (0 uses the default).
-func (s *Session) NewReverseReplayer(interval int64) *ReverseReplayer {
+// pinball (the bridged one, for a flight-recorder pinball). interval is
+// the checkpoint spacing (0 uses the default).
+func (s *Session) NewReverseReplayer(interval int64) (*ReverseReplayer, error) {
 	if interval <= 0 {
 		interval = DefaultCheckpointInterval
 	}
-	r := &ReverseReplayer{
-		sess:        s,
-		total:       s.Pinball.TotalQuantumInstrs(),
-		interval:    interval,
-		sysConsumed: map[int]int{},
+	pb, err := s.effective()
+	if err != nil {
+		return nil, err
 	}
-	r.reset()
+	r := &ReverseReplayer{c: pinplay.NewCursor(s.Prog, pb, pinplay.ReplayOptions{}), interval: interval}
 	// Checkpoint 0 is the region entry itself.
-	r.checkpoint()
-	return r
+	if err := r.checkpoint(); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
-// reset positions the replay at region entry.
-func (r *ReverseReplayer) reset() {
-	r.sysWatch = &sysCounter{consumed: map[int]int{}}
-	r.m = pinplay.NewReplayMachine(r.sess.Prog, r.sess.Pinball, r.sysWatch)
-	r.executed = 0
-	r.qi = 0
-	r.qoff = 0
-	r.sysConsumed = r.sysWatch.consumed
-}
-
-// Machine returns the machine at the current position. The pointer
-// changes after backward motion; callers must re-fetch it.
-func (r *ReverseReplayer) Machine() *vm.Machine { return r.m }
+// Machine returns the machine at the current position.
+func (r *ReverseReplayer) Machine() *vm.Machine { return r.c.Machine() }
 
 // Executed returns the current position (instructions since region
 // entry).
-func (r *ReverseReplayer) Executed() int64 { return r.executed }
+func (r *ReverseReplayer) Executed() int64 { return r.c.Pos() }
 
 // Total returns the region length.
-func (r *ReverseReplayer) Total() int64 { return r.total }
+func (r *ReverseReplayer) Total() int64 { return r.c.Total() }
 
-// AtEnd reports whether the replay has consumed the region.
-func (r *ReverseReplayer) AtEnd() bool {
-	return r.executed >= r.total || !r.m.Running()
+// Checkpoints returns how many checkpoints have been taken.
+func (r *ReverseReplayer) Checkpoints() int { return len(r.checkpoints) }
+
+func (r *ReverseReplayer) checkpoint() error {
+	st, err := r.c.Snapshot()
+	if err != nil {
+		return err
+	}
+	r.checkpoints = append(r.checkpoints, st)
+	return nil
 }
 
-// checkpoint records the current state.
-func (r *ReverseReplayer) checkpoint() {
-	consumed := make(map[int]int, len(r.sysConsumed))
-	for k, v := range r.sysConsumed {
-		consumed[k] = v
-	}
-	r.checkpoints = append(r.checkpoints, reverseCheckpoint{
-		executed:    r.executed,
-		qi:          r.qi,
-		qoff:        r.qoff,
-		sysConsumed: consumed,
-		state:       r.m.Snapshot(),
-	})
+// nextCheckpoint returns the position of the next checkpoint to take.
+func (r *ReverseReplayer) nextCheckpoint() int64 {
+	return r.checkpoints[len(r.checkpoints)-1].Pos() + r.interval
 }
 
-// StepForward executes one instruction, maintaining the schedule cursor
-// and taking periodic checkpoints. It returns false at region end or
-// machine stop.
-func (r *ReverseReplayer) StepForward() bool {
-	if r.AtEnd() {
-		// Reproduce a trailing fault not counted in quanta, exactly like
-		// pinplay.Replay.
-		if r.executed >= r.total && r.sess.Pinball.Failure != nil && r.m.Running() {
-			r.m.StepOne()
-		}
-		return false
+// maybeCheckpoint takes the periodic checkpoint when it is due.
+func (r *ReverseReplayer) maybeCheckpoint() error {
+	if r.c.Machine().Running() && r.c.Pos() >= r.nextCheckpoint() {
+		return r.checkpoint()
 	}
-	before := r.m.Steps()
-	ok := r.m.StepOne()
-	if r.m.Steps() > before {
-		// An instruction executed even if the machine then stopped (a
-		// failing assert executes and is counted in the quanta).
-		r.executed++
-		quanta := r.sess.Pinball.Quanta
-		r.qoff++
-		for r.qi < len(quanta) && r.qoff >= quanta[r.qi].Count {
-			r.qoff -= quanta[r.qi].Count
-			r.qi++
-		}
-		if n := len(r.checkpoints); ok && r.executed-r.checkpoints[n-1].executed >= r.interval {
-			r.checkpoint()
-		}
+	return nil
+}
+
+// StepForward executes one instruction and takes the periodic
+// checkpoint. It returns false at region end or machine stop; at region
+// end the replay's end-of-region checks run, and their failure (or a
+// divergence) is the error.
+func (r *ReverseReplayer) StepForward() (bool, error) {
+	ok, err := r.c.Step()
+	if err != nil {
+		return false, err
 	}
-	return ok
+	if err := r.maybeCheckpoint(); err != nil {
+		return false, err
+	}
+	return ok && r.c.Machine().Running(), nil
 }
 
 // RunTo moves the current position to target (in executed instructions),
 // forward or backward. Backward motion restores the nearest earlier
 // checkpoint and replays forward.
 func (r *ReverseReplayer) RunTo(target int64) error {
-	if target < 0 {
-		target = 0
+	target = max(0, min(target, r.Total()))
+	if target < r.c.Pos() {
+		i := len(r.checkpoints) - 1
+		for r.checkpoints[i].Pos() > target {
+			i--
+		}
+		r.c.Restore(r.checkpoints[i])
 	}
-	if target > r.total {
-		target = r.total
-	}
-	if target < r.executed {
-		if err := r.restoreBefore(target); err != nil {
+	for r.c.Pos() < target {
+		next := target
+		if cp := r.nextCheckpoint(); cp > r.c.Pos() && cp < next {
+			next = cp
+		}
+		if err := r.c.RunTo(next); err != nil {
 			return err
 		}
-	}
-	for r.executed < target {
-		ok := r.StepForward()
-		if r.executed >= target {
-			break
+		if r.c.Pos() < next {
+			return fmt.Errorf("core: replay stopped at %d before reaching %d", r.c.Pos(), target)
 		}
-		if !ok {
-			return fmt.Errorf("core: replay stopped at %d before reaching %d", r.executed, target)
+		if err := r.maybeCheckpoint(); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -184,51 +131,5 @@ func (r *ReverseReplayer) StepBack(n int64) error {
 	if n <= 0 {
 		n = 1
 	}
-	return r.RunTo(r.executed - n)
+	return r.RunTo(r.c.Pos() - n)
 }
-
-// restoreBefore restores the latest checkpoint at or before target.
-func (r *ReverseReplayer) restoreBefore(target int64) error {
-	idx := -1
-	for i := len(r.checkpoints) - 1; i >= 0; i-- {
-		if r.checkpoints[i].executed <= target {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		r.reset()
-		return nil
-	}
-	cp := r.checkpoints[idx]
-
-	// Rebuild the machine at the checkpoint: restored state, schedule
-	// suffix, syscall log positioned past the consumed prefix.
-	pb := r.sess.Pinball
-	var suffix []vm.Quantum
-	if cp.qi < len(pb.Quanta) {
-		first := pb.Quanta[cp.qi]
-		first.Count -= cp.qoff
-		if first.Count > 0 {
-			suffix = append(suffix, first)
-		}
-		suffix = append(suffix, pb.Quanta[cp.qi+1:]...)
-	}
-	r.sysWatch = &sysCounter{consumed: make(map[int]int, len(cp.sysConsumed))}
-	for k, v := range cp.sysConsumed {
-		r.sysWatch.consumed[k] = v
-	}
-	r.m = vm.NewFromState(r.sess.Prog, cp.state, vm.Config{
-		Sched:  vm.NewReplayScheduler(suffix),
-		Env:    vm.NewReplayEnvSkipping(pb.Syscalls, cp.sysConsumed),
-		Tracer: r.sysWatch,
-	})
-	r.executed = cp.executed
-	r.qi = cp.qi
-	r.qoff = cp.qoff
-	r.sysConsumed = r.sysWatch.consumed
-	return nil
-}
-
-// Checkpoints returns how many checkpoints have been taken.
-func (r *ReverseReplayer) Checkpoints() int { return len(r.checkpoints) }

@@ -1,12 +1,15 @@
 package core_test
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/pinplay"
+	"repro/internal/vm"
 )
 
 // reverseSession records a deterministic single-bug run with a known
@@ -39,6 +42,26 @@ int main() {
 	return s
 }
 
+// reverseReplayer opens a reverse replayer on s.
+func reverseReplayer(t *testing.T, s *core.Session, interval int64) *core.ReverseReplayer {
+	t.Helper()
+	rr, err := s.NewReverseReplayer(interval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rr
+}
+
+// stepForward steps rr once, failing the test on a replay error.
+func stepForward(t *testing.T, rr *core.ReverseReplayer) bool {
+	t.Helper()
+	ok, err := rr.StepForward()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ok
+}
+
 // tickAt replays forward to a position and reads the counter.
 func tickAt(t *testing.T, s *core.Session, rr *core.ReverseReplayer, pos int64) int64 {
 	t.Helper()
@@ -51,7 +74,7 @@ func tickAt(t *testing.T, s *core.Session, rr *core.ReverseReplayer, pos int64) 
 
 func TestReverseRunToIsConsistent(t *testing.T) {
 	s := reverseSession(t)
-	rr := s.NewReverseReplayer(500)
+	rr := reverseReplayer(t, s, 500)
 
 	// Forward to several positions, remembering state; then revisit them
 	// in arbitrary (including backward) order and require identical
@@ -74,7 +97,7 @@ func TestReverseRunToIsConsistent(t *testing.T) {
 
 func TestReverseStepBack(t *testing.T) {
 	s := reverseSession(t)
-	rr := s.NewReverseReplayer(300)
+	rr := reverseReplayer(t, s, 300)
 	if err := rr.RunTo(2000); err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +125,8 @@ func TestReverseStepBack(t *testing.T) {
 
 func TestReverseReachesFailureAtEnd(t *testing.T) {
 	s := reverseSession(t)
-	rr := s.NewReverseReplayer(0)
-	for rr.StepForward() {
+	rr := reverseReplayer(t, s, 0)
+	for stepForward(t, rr) {
 	}
 	m := rr.Machine()
 	if m.Failure() == nil {
@@ -116,7 +139,7 @@ func TestReverseReachesFailureAtEnd(t *testing.T) {
 	if rr.Machine().Failure() != nil {
 		t.Fatal("failure still present after stepping back")
 	}
-	for rr.StepForward() {
+	for stepForward(t, rr) {
 	}
 	if rr.Machine().Failure() == nil {
 		t.Fatal("failure not reproduced after reverse+forward")
@@ -147,7 +170,7 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr := s.NewReverseReplayer(250)
+	rr := reverseReplayer(t, s, 250)
 	sym := s.Prog.SymbolByName("acc")
 
 	if err := rr.RunTo(rr.Total()); err != nil {
@@ -172,7 +195,7 @@ int main() {
 
 func TestReverseThreadCountsRestored(t *testing.T) {
 	s := reverseSession(t)
-	rr := s.NewReverseReplayer(400)
+	rr := reverseReplayer(t, s, 400)
 	if err := rr.RunTo(1200); err != nil {
 		t.Fatal(err)
 	}
@@ -192,4 +215,93 @@ func TestReverseThreadCountsRestored(t *testing.T) {
 		}
 	}
 	_ = isa.NumRegs
+}
+
+// TestReverseReplayBridgesFlightRecorderPinball drives reverse debugging
+// over a pinball with evicted windows: it must replay the whole bridged
+// region — not just the retained quanta — to the full recording's end
+// state, forwards, backwards and step by step.
+func TestReverseReplayBridgesFlightRecorderPinball(t *testing.T) {
+	full, ring := ringDiffSessions(t)
+	want, err := full.Replay(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameEnd := func(what string, m *vm.Machine) {
+		t.Helper()
+		if !m.Snapshot().Mem.Equal(want.Snapshot().Mem) {
+			t.Errorf("%s: memory differs from the full replay", what)
+		}
+		if !slices.Equal(m.Output(), want.Output()) {
+			t.Errorf("%s: output %v, full replay %v", what, m.Output(), want.Output())
+		}
+	}
+	rr := reverseReplayer(t, ring, 300)
+	if total := full.Pinball.TotalQuantumInstrs(); rr.Total() != total {
+		t.Fatalf("reverse replay covers %d instructions, region has %d", rr.Total(), total)
+	}
+	if err := rr.RunTo(rr.Total()); err != nil {
+		t.Fatal(err)
+	}
+	if rr.Executed() != rr.Total() {
+		t.Fatalf("RunTo(total) stopped at %d of %d", rr.Executed(), rr.Total())
+	}
+	sameEnd("RunTo(total)", rr.Machine())
+	if err := rr.RunTo(1000); err != nil {
+		t.Fatal(err)
+	}
+	if rr.Executed() != 1000 {
+		t.Fatalf("RunTo(1000) at %d", rr.Executed())
+	}
+	for stepForward(t, rr) {
+	}
+	if rr.Executed() != rr.Total() {
+		t.Fatalf("stepping stopped at %d of %d", rr.Executed(), rr.Total())
+	}
+	sameEnd("step to end", rr.Machine())
+}
+
+// TestReverseReplayDetectsTamperedCheckpoint: reverse replay validates
+// the pinball's divergence checkpoints on every forward pass, including
+// one that restarts from a checkpoint behind the bad window.
+func TestReverseReplayDetectsTamperedCheckpoint(t *testing.T) {
+	prog, err := cc.CompileSource("count.c", `
+int tick;
+int main() {
+	int i;
+	for (i = 0; i < 600; i++) { tick = tick + 1; }
+	write(tick);
+	return 0;
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := core.RecordRegion(prog, pinplay.LogConfig{Seed: 1, CheckpointEvery: 100}, pinplay.RegionSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := len(s.Pinball.Checkpoints) / 2
+	if bad == 0 {
+		t.Fatalf("only %d checkpoints recorded", len(s.Pinball.Checkpoints))
+	}
+	s.Pinball.Checkpoints[bad].Hash ^= 0xBAD
+	rr := reverseReplayer(t, s, 250)
+
+	var first *pinplay.DivergenceError
+	if err := rr.RunTo(rr.Total()); !errors.As(err, &first) {
+		t.Fatalf("first forward pass: %v, want a divergence", err)
+	}
+	if first.Div.ToStep != s.Pinball.Checkpoints[bad].Step {
+		t.Errorf("divergence at step %d, tampered checkpoint at %d", first.Div.ToStep, s.Pinball.Checkpoints[bad].Step)
+	}
+	if err := rr.RunTo(first.Div.FromStep); err != nil {
+		t.Fatalf("back to the last good checkpoint (step %d): %v", first.Div.FromStep, err)
+	}
+	var again *pinplay.DivergenceError
+	if err := rr.RunTo(rr.Total()); !errors.As(err, &again) {
+		t.Fatalf("forward pass after restore: %v, want a divergence", err)
+	}
+	if again.Div.Window() != first.Div.Window() {
+		t.Errorf("second pass diverged in %s, first in %s", again.Div.Window(), first.Div.Window())
+	}
 }

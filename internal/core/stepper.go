@@ -30,7 +30,7 @@ type StepPoint struct {
 // capability that no prior slicing tool provides.
 type Stepper struct {
 	sess    *Session
-	runner  *pinplay.SliceRunner
+	runner  *pinplay.Cursor
 	members map[memberKey]bool
 	watch   *stepWatcher
 	lastSrc string
@@ -79,7 +79,7 @@ func (s *Session) NewStepperFromPinball(spb *pinball.Pinball, sl *slice.Slice) (
 	w := &stepWatcher{}
 	return &Stepper{
 		sess:    s,
-		runner:  pinplay.NewSliceRunner(s.Prog, spb, w),
+		runner:  pinplay.NewCursor(s.Prog, spb, pinplay.ReplayOptions{Tracer: w}),
 		members: members,
 		watch:   w,
 	}, nil
@@ -88,9 +88,6 @@ func (s *Session) NewStepperFromPinball(spb *pinball.Pinball, sl *slice.Slice) (
 // Machine exposes the replayed machine for state examination (the
 // "examine program state at each point" half of the workflow).
 func (st *Stepper) Machine() *vm.Machine { return st.runner.Machine() }
-
-// Done reports whether the slice replay has finished.
-func (st *Stepper) Done() bool { return st.runner.Done() }
 
 // point converts the watcher's last event into a StepPoint.
 func (st *Stepper) point() *StepPoint {

@@ -83,10 +83,12 @@ func New(prog *isa.Program, cfg pinplay.LogConfig) *Debugger {
 func (d *Debugger) Session() *core.Session { return d.sess }
 
 // UseSession attaches an existing session (e.g. a pinball recorded by
-// Maple) so the debugger starts directly in replay mode.
-func (d *Debugger) UseSession(s *core.Session) {
+// Maple) so the debugger starts directly in replay mode. It fails when
+// the session's replay cannot be prepared (a flight-recorder pinball
+// whose gaps do not bridge).
+func (d *Debugger) UseSession(s *core.Session) error {
 	d.sess = s
-	d.startReplay()
+	return d.startReplay()
 }
 
 // Run reads commands from r until EOF or quit, writing responses to w.
@@ -287,28 +289,40 @@ func (d *Debugger) cmdRecord(args []string) error {
 
 // startReplay rebuilds the replay machine at region entry, with reverse
 // debugging enabled through periodic checkpoints.
-func (d *Debugger) startReplay() {
-	d.rr = d.sess.NewReverseReplayer(0)
+func (d *Debugger) startReplay() error {
+	rr, err := d.sess.NewReverseReplayer(0)
+	if err != nil {
+		return err
+	}
+	d.rr = rr
 	d.m = d.rr.Machine()
 	d.mode = modeReplay
 	d.executed = 0
 	d.total = d.rr.Total()
+	return nil
 }
 
-// stepOnce advances one instruction through whichever engine is active
-// and returns false when execution cannot continue.
-func (d *Debugger) stepOnce() bool {
+// stepOnce advances one instruction through whichever engine is active.
+// When execution cannot continue it reports the stop and returns false;
+// a replay that diverges from the recording returns false with the
+// error.
+func (d *Debugger) stepOnce() (bool, error) {
+	ok := false
 	if d.mode == modeReplay && d.rr != nil {
-		ok := d.rr.StepForward()
+		var err error
+		ok, err = d.rr.StepForward()
 		d.m = d.rr.Machine()
 		d.executed = d.rr.Executed()
-		return ok
+		if err != nil {
+			return false, err
+		}
+	} else if ok = d.m.StepOne(); ok {
+		d.executed++
 	}
-	if !d.m.StepOne() {
-		return false
+	if !ok {
+		d.reportStop()
 	}
-	d.executed++
-	return true
+	return ok, nil
 }
 
 // cmdReplay restarts deterministic replay — one iteration of the cyclic
@@ -317,7 +331,9 @@ func (d *Debugger) cmdReplay() error {
 	if d.sess == nil {
 		return fmt.Errorf("no session pinball (record a region or load one)")
 	}
-	d.startReplay()
+	if err := d.startReplay(); err != nil {
+		return err
+	}
 	fmt.Fprintf(d.out, "replaying region pinball (%d instructions)\n", d.total)
 	return nil
 }
@@ -352,9 +368,8 @@ func (d *Debugger) resume(skipCurrent bool) error {
 			return nil
 		}
 		first = false
-		if !d.stepOnce() {
-			d.reportStop()
-			return nil
+		if ok, err := d.stepOnce(); !ok {
+			return err
 		}
 		if wp := d.watchHit(); wp != nil {
 			if t := d.m.CurThread(); t != nil {
@@ -439,9 +454,8 @@ func (d *Debugger) cmdStepi() error {
 		fmt.Fprintln(d.out, "end of recorded region")
 		return nil
 	}
-	if !d.stepOnce() {
-		d.reportStop()
-		return nil
+	if ok, err := d.stepOnce(); !ok {
+		return err
 	}
 	if t := d.m.CurThread(); t != nil {
 		d.curTid = t.ID
@@ -469,9 +483,8 @@ func (d *Debugger) cmdStep() error {
 			fmt.Fprintln(d.out, "end of recorded region")
 			return nil
 		}
-		if !d.stepOnce() {
-			d.reportStop()
-			return nil
+		if ok, err := d.stepOnce(); !ok {
+			return err
 		}
 		t = d.m.CurThread()
 		if t == nil {
@@ -507,9 +520,8 @@ func (d *Debugger) cmdNext() error {
 			fmt.Fprintln(d.out, "end of recorded region")
 			return nil
 		}
-		if !d.stepOnce() {
-			d.reportStop()
-			return nil
+		if ok, err := d.stepOnce(); !ok {
+			return err
 		}
 		t = d.m.CurThread()
 		if t == nil {
@@ -552,9 +564,8 @@ func (d *Debugger) cmdFinish() error {
 			fmt.Fprintln(d.out, "end of recorded region")
 			return nil
 		}
-		if !d.stepOnce() {
-			d.reportStop()
-			return nil
+		if ok, err := d.stepOnce(); !ok {
+			return err
 		}
 		t = d.m.CurThread()
 		if t == nil {
@@ -1061,7 +1072,11 @@ func (d *Debugger) cmdReverseContinue() error {
 		if t := d.rr.Machine().CurThread(); t != nil && d.bpAt(t.PC) != nil {
 			lastHit = d.rr.Executed()
 		}
-		if !d.rr.StepForward() {
+		ok, err := d.rr.StepForward()
+		if err != nil {
+			return err
+		}
+		if !ok {
 			break
 		}
 	}

@@ -1,6 +1,8 @@
 package debugger_test
 
 import (
+	"errors"
+	"io"
 	"strings"
 	"testing"
 
@@ -110,5 +112,37 @@ func TestReverseThenSliceStillWorks(t *testing.T) {
 	out := exec(t, d, "slice")
 	if !strings.Contains(out, "slice:") {
 		t.Fatalf("slice after reverse: %s", out)
+	}
+}
+
+// TestReplayDivergenceIsReported: replay mode validates the pinball's
+// divergence checkpoints, so running through a tampered window fails
+// with the typed divergence instead of silently continuing.
+func TestReplayDivergenceIsReported(t *testing.T) {
+	prog := compileDemo(t)
+	sess, err := core.RecordFailure(prog, pinplay.LogConfig{Seed: 1, CheckpointEvery: 10}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cps := sess.Pinball.Checkpoints
+	if len(cps) < 2 {
+		t.Fatalf("only %d checkpoints recorded", len(cps))
+	}
+	cps[len(cps)/2].Hash ^= 0xBAD
+
+	d := debugger.New(prog, pinplay.LogConfig{Seed: 1})
+	if err := d.UseSession(sess); err != nil {
+		t.Fatal(err)
+	}
+	var de *pinplay.DivergenceError
+	if err := d.Execute("continue", io.Discard); !errors.As(err, &de) {
+		t.Fatalf("continue through the tampered window: %v, want a divergence", err)
+	}
+	var out strings.Builder
+	if err := d.Run(strings.NewReader("replay\ncontinue\n"), &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "error: "+de.Error()) {
+		t.Errorf("divergence not printed:\n%s", out.String())
 	}
 }

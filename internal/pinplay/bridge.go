@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/fnv1a"
 	"repro/internal/isa"
 	"repro/internal/pinball"
 	"repro/internal/vm"
@@ -91,7 +92,7 @@ type gapHasher struct {
 }
 
 func newGapHasher(evs []pinball.Eviction) *gapHasher {
-	return &gapHasher{evs: evs, h: fnvOffset, got: make([]uint64, len(evs)), done: make([]bool, len(evs))}
+	return &gapHasher{evs: evs, h: fnv1a.Offset, got: make([]uint64, len(evs)), done: make([]bool, len(evs))}
 }
 
 func (g *gapHasher) OnInstr(ev *vm.InstrEvent) {
@@ -106,17 +107,15 @@ func (g *gapHasher) OnInstr(ev *vm.InstrEvent) {
 	g.h = foldEvent(g.h, ev)
 	if g.step == e.ToStep {
 		g.got[g.pos], g.done[g.pos] = g.h, true
-		g.h = fnvOffset
+		g.h = fnv1a.Offset
 		g.pos++
 	}
 }
 
 // bridgeMachine builds the native re-execution machine for a gapped
 // pinball: state restored, scheduler and environment resumed from the
-// recipe, the checkpoint validator and the gap hasher chained in front of
-// the caller's tracer, and limits clamped so that a tampered recipe can
-// never run the bridge away (at most RegionInstrs+1 instructions).
-func bridgeMachine(prog *isa.Program, pb *pinball.Pinball, opts ReplayOptions) (*vm.Machine, *checkpointValidator, *gapHasher) {
+// recipe.
+func bridgeMachine(prog *isa.Program, pb *pinball.Pinball) *vm.Machine {
 	rc := pb.Recipe
 	var sched vm.Scheduler = vm.ResumeRandomScheduler(rc.SchedState, rc.MeanQ)
 	if rc.CurLeft > 0 {
@@ -125,81 +124,7 @@ func bridgeMachine(prog *isa.Program, pb *pinball.Pinball, opts ReplayOptions) (
 	env := vm.ResumeNativeEnv(rc.EnvInput, vm.EnvState{
 		InputPos: int(rc.EnvPos), RandState: rc.EnvRand, Clock: rc.EnvClock,
 	})
-	m := vm.NewFromState(prog, pb.State, vm.Config{Sched: sched, Env: env})
-
-	gh := newGapHasher(pb.Evictions)
-	var v *checkpointValidator
-	if !opts.NoVerify {
-		v = newValidator(m, pb, opts.Degraded, opts.OnDivergence)
-	}
-	tracers := vm.MultiTracer{gh}
-	if v != nil {
-		tracers = append(tracers, v)
-	}
-	if opts.Tracer != nil {
-		tracers = append(tracers, opts.Tracer)
-	}
-	m.SetTracer(tracers)
-
-	lim := opts.Limits
-	if lim.Steps <= 0 || lim.Steps > pb.RegionInstrs+1 {
-		lim.Steps = pb.RegionInstrs + 1
-	}
-	m.SetLimits(lim)
-	return m, v, gh
-}
-
-// replayBridged is the gapped-pinball path of ReplayWith: the bridge run
-// IS the replay. It executes exactly the recorded region length, fails on
-// checkpoint divergence like a normal replay, and then settles each
-// evicted window: hash match → exact bridge; mismatch → BridgeError, or
-// an estimated window under the BridgeEstimates policy.
-func replayBridged(prog *isa.Program, pb *pinball.Pinball, opts ReplayOptions) (*vm.Machine, *ReplayReport, error) {
-	m, v, gh := bridgeMachine(prog, pb, opts)
-	total := pb.RegionInstrs
-	var executed int64
-	rep := &ReplayReport{Bridge: &BridgeReport{Windows: len(pb.Evictions), GapInstrs: pb.GapInstrs()}}
-	for executed < total && m.StepOne() {
-		executed++
-		if d := v.failed(); d != nil {
-			rep.Executed = executed
-			rep.Checked, rep.Divergences = v.report()
-			return m, rep, &DivergenceError{Div: *d}
-		}
-	}
-	earlyFailure := executed < total && m.Stopped() == vm.StopFailure && pb.Failure != nil
-	if !m.Stopped().LimitStop() {
-		v.finish(earlyFailure)
-	}
-	rep.Executed = executed
-	rep.Checked, rep.Divergences = v.report()
-	if d := v.failed(); d != nil {
-		return m, rep, &DivergenceError{Div: *d}
-	}
-	if executed < total && !earlyFailure {
-		if m.Stopped().LimitStop() {
-			return m, rep, limitErr(m, executed, total)
-		}
-		return m, rep, fmt.Errorf("%w: bridged replay executed %d of %d instructions (stop: %v)",
-			ErrReplay, executed, total, m.Stopped())
-	}
-	for i, e := range pb.Evictions {
-		if gh.done[i] && gh.got[i] == e.Hash {
-			rep.Bridge.Exact++
-			continue
-		}
-		if opts.BridgeEstimates {
-			rep.Bridge.Estimated = append(rep.Bridge.Estimated, e)
-			continue
-		}
-		return m, rep, &BridgeError{Ev: e, Want: e.Hash, Got: gh.got[i]}
-	}
-	// Reproduce a trailing machine fault (not counted in the region), as
-	// the normal replay path does.
-	if pb.Failure != nil && m.Running() {
-		m.StepOne()
-	}
-	return m, rep, nil
+	return vm.NewFromState(prog, pb.State, vm.Config{Sched: sched, Env: env})
 }
 
 // BridgePinball materialises a gapped pinball into a complete one: the
@@ -221,18 +146,18 @@ func BridgePinball(prog *isa.Program, pb *pinball.Pinball, opts ReplayOptions) (
 		opts.Tracer = rec
 	}
 	opts.BridgeEstimates = true
-	m, rep, err := replayBridged(prog, pb, opts)
-	if err != nil {
-		return nil, rep.Bridge, err
+	c := NewCursor(prog, pb, opts)
+	if err := c.Run(); err != nil {
+		return nil, c.bridge, err
 	}
 	out := *pb
-	out.Quanta = append([]vm.Quantum(nil), m.Quanta()...)
+	out.Quanta = append([]vm.Quantum(nil), c.Machine().Quanta()...)
 	out.Syscalls = rec.syscalls
 	out.OrderEdges = rec.edges
 	out.Evictions = nil
 	out.Recipe = nil
 	if err := out.Validate(); err != nil {
-		return nil, rep.Bridge, fmt.Errorf("%w: bridged pinball is inconsistent: %v", ErrReplay, err)
+		return nil, c.bridge, fmt.Errorf("%w: bridged pinball is inconsistent: %v", ErrReplay, err)
 	}
-	return &out, rep.Bridge, nil
+	return &out, c.bridge, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/fnv1a"
 	"repro/internal/isa"
 	"repro/internal/pinball"
 	"repro/internal/vm"
@@ -26,28 +27,18 @@ import (
 // record) is reported once per bad window and cannot cascade into later
 // ones, which is what makes degraded log-and-continue mode useful.
 
-// fnv-1a (word-folded) rolling hash.
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
-func fold(h uint64, v int64) uint64 {
-	return (h ^ uint64(v)) * fnvPrime
-}
-
 // foldEvent extends a thread's rolling hash with one executed
 // instruction. The folded fields pin down the thread's control path and
 // data movement; the register file itself is compared (not hashed) at
 // checkpoint boundaries.
 func foldEvent(h uint64, ev *vm.InstrEvent) uint64 {
-	h = fold(h, ev.PC)
-	h = fold(h, ev.Idx)
-	h = fold(h, ev.EffAddr)
+	h = fnv1a.Fold(h, ev.PC)
+	h = fnv1a.Fold(h, ev.Idx)
+	h = fnv1a.Fold(h, ev.EffAddr)
 	if ev.EffAddr >= 0 {
-		h = fold(h, ev.MemVal)
+		h = fnv1a.Fold(h, ev.MemVal)
 	}
-	h = fold(h, ev.NextPC)
+	h = fnv1a.Fold(h, ev.NextPC)
 	return h
 }
 
@@ -81,7 +72,7 @@ func newCheckpointer(m *vm.Machine, every int64) *checkpointer {
 func (c *checkpointer) observe(ev *vm.InstrEvent) {
 	th := c.threads[ev.Tid]
 	if th == nil {
-		th = &threadHash{h: fnvOffset}
+		th = &threadHash{h: fnv1a.Offset}
 		c.threads[ev.Tid] = th
 	}
 	th.h = foldEvent(th.h, ev)
@@ -93,7 +84,7 @@ func (c *checkpointer) observe(ev *vm.InstrEvent) {
 			Tid: ev.Tid, Seq: th.n, Idx: ev.Idx, Step: c.step,
 			Hash: th.h, PC: t.PC, Regs: t.Regs,
 		})
-		th.h = fnvOffset // windowed: the next checkpoint hashes afresh
+		th.h = fnv1a.Offset // windowed: the next checkpoint hashes afresh
 	}
 }
 
@@ -192,7 +183,7 @@ func newValidator(m *vm.Machine, pb *pinball.Pinball, warnOnly bool, onDiv func(
 	for _, cp := range pb.Checkpoints {
 		th := v.threads[cp.Tid]
 		if th == nil {
-			th = &threadHash{h: fnvOffset, lastIdx: -1}
+			th = &threadHash{h: fnv1a.Offset, lastIdx: -1}
 			v.threads[cp.Tid] = th
 		}
 		th.cps = append(th.cps, cp)
@@ -203,7 +194,7 @@ func newValidator(m *vm.Machine, pb *pinball.Pinball, warnOnly bool, onDiv func(
 func (v *checkpointValidator) OnInstr(ev *vm.InstrEvent) {
 	th := v.threads[ev.Tid]
 	if th == nil {
-		th = &threadHash{h: fnvOffset, lastIdx: -1}
+		th = &threadHash{h: fnv1a.Offset, lastIdx: -1}
 		v.threads[ev.Tid] = th
 	}
 	th.h = foldEvent(th.h, ev)
@@ -217,7 +208,7 @@ func (v *checkpointValidator) OnInstr(ev *vm.InstrEvent) {
 	v.checked++
 	t := v.m.Threads[ev.Tid]
 	got := th.h
-	th.h = fnvOffset // windowed: the next checkpoint hashes afresh
+	th.h = fnv1a.Offset // windowed: the next checkpoint hashes afresh
 	if got == cp.Hash && t.PC == cp.PC && t.Regs == cp.Regs && ev.Idx == cp.Idx {
 		th.lastIdx, th.lastStep = cp.Idx, cp.Step
 		return

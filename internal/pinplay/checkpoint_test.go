@@ -157,7 +157,7 @@ func TestRelogCarriesSliceCheckpoints(t *testing.T) {
 	if spb.CheckpointEvery != 8 || len(spb.Checkpoints) == 0 {
 		t.Fatalf("slice pinball checkpoints: every=%d n=%d", spb.CheckpointEvery, len(spb.Checkpoints))
 	}
-	_, rep, err := ReplaySliceWith(prog, spb, ReplayOptions{})
+	_, rep, err := ReplayWith(prog, spb, ReplayOptions{})
 	if err != nil {
 		t.Fatalf("slice replay: %v", err)
 	}
@@ -239,7 +239,7 @@ int main() {
 	if len(spb.Checkpoints) == 0 {
 		t.Fatal("slice pinball has no checkpoints")
 	}
-	m, rep, err := ReplaySliceWith(prog, spb, ReplayOptions{})
+	m, rep, err := ReplayWith(prog, spb, ReplayOptions{})
 	if err != nil {
 		t.Fatalf("slice replay: %v", err)
 	}

@@ -55,32 +55,13 @@ func RelogWith(prog *isa.Program, pb *pinball.Pinball, exclusions []pinball.Excl
 		mem:       make([]map[int64]int64, len(perThread)),
 	}
 	opts.Tracer = rt
-	m, v := newValidatedMachine(prog, pb, opts)
-	rt.m = m
+	c := NewCursor(prog, pb, opts)
+	rt.m = c.Machine()
 	if pb.CheckpointEvery > 0 {
-		rt.ck = newCheckpointer(m, pb.CheckpointEvery)
+		rt.ck = newCheckpointer(rt.m, pb.CheckpointEvery)
 	}
-
-	total := pb.TotalQuantumInstrs()
-	var executed int64
-	for executed < total && m.StepOne() {
-		executed++
-		if d := v.failed(); d != nil {
-			return nil, &DivergenceError{Div: *d}
-		}
-	}
-	earlyFailure := executed < total && m.Stopped() == vm.StopFailure && pb.Failure != nil
-	if !m.Stopped().LimitStop() {
-		v.finish(earlyFailure)
-	}
-	if d := v.failed(); d != nil {
-		return nil, &DivergenceError{Div: *d}
-	}
-	if executed < total && !earlyFailure {
-		if m.Stopped().LimitStop() {
-			return nil, limitErr(m, executed, total)
-		}
-		return nil, fmt.Errorf("%w: relog replay diverged at %d of %d (stop: %v)", ErrReplay, executed, total, m.Stopped())
+	if err := c.Run(); err != nil {
+		return nil, err
 	}
 
 	out := &pinball.Pinball{

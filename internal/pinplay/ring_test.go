@@ -70,7 +70,7 @@ func logPair(t *testing.T, src string, spec RegionSpec, budget, sample int64) (*
 }
 
 func TestRingNoEvictionMatchesFullTrace(t *testing.T) {
-	full, ring := logPair(t, ioSrc, RegionSpec{}, 1 << 40, 0)
+	full, ring := logPair(t, ioSrc, RegionSpec{}, 1<<40, 0)
 	if len(ring.Evictions) != 0 {
 		t.Fatalf("unexpected evictions under a huge budget: %v", ring.Evictions)
 	}

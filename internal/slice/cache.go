@@ -1,6 +1,7 @@
 package slice
 
 import (
+	"repro/internal/fnv1a"
 	"repro/internal/isa"
 	"repro/internal/lru"
 	"repro/internal/tracer"
@@ -22,29 +23,22 @@ import (
 // asking for the same engine share one build instead of racing N
 // builders for the same shards.
 
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
-func foldCache(h, v uint64) uint64 { return (h ^ v) * fnvPrime }
-
 // optionsFingerprint digests the option fields that shape the engine.
 func optionsFingerprint(opts Options, popts ParallelOptions) uint64 {
-	h := fnvOffset
-	h = foldCache(h, uint64(opts.MaxSave))
-	b := func(v bool) uint64 {
+	h := fnv1a.Offset
+	h = fnv1a.Fold(h, int64(opts.MaxSave))
+	b := func(v bool) int64 {
 		if v {
 			return 1
 		}
 		return 0
 	}
-	h = foldCache(h, b(opts.PruneSaveRestore))
-	h = foldCache(h, b(opts.ControlDeps))
-	h = foldCache(h, b(opts.UseJumpTables))
-	h = foldCache(h, b(opts.DisableRefinement))
-	h = foldCache(h, uint64(opts.LPBlock))
-	h = foldCache(h, uint64(popts.WindowSize))
+	h = fnv1a.Fold(h, b(opts.PruneSaveRestore))
+	h = fnv1a.Fold(h, b(opts.ControlDeps))
+	h = fnv1a.Fold(h, b(opts.UseJumpTables))
+	h = fnv1a.Fold(h, b(opts.DisableRefinement))
+	h = fnv1a.Fold(h, int64(opts.LPBlock))
+	h = fnv1a.Fold(h, int64(popts.WindowSize))
 	return h
 }
 

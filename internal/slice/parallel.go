@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cfg"
+	"repro/internal/fnv1a"
 	"repro/internal/isa"
 	"repro/internal/tracer"
 )
@@ -474,7 +475,7 @@ func (s *ParallelSlicer) newQuery(crit tracer.Ref) (*query, error) {
 		crit:     crit,
 		startPos: startPos,
 		deps:     sc.deps[:0],
-		depHash:  fnvOffset,
+		depHash:  fnv1a.Offset,
 		batch:    sc.batch[:0],
 	}, nil
 }

@@ -1,6 +1,10 @@
 package vm
 
-import "repro/internal/isa"
+import (
+	"maps"
+
+	"repro/internal/isa"
+)
 
 // NativeEnv supplies syscall results during a "native" (original,
 // un-replayed) execution: program input from a slice, pseudo-random words
@@ -79,13 +83,6 @@ type ReplayEnv struct {
 
 // NewReplayEnv builds a replay environment from a syscall log.
 func NewReplayEnv(log []SyscallRecord) *ReplayEnv {
-	return NewReplayEnvSkipping(log, nil)
-}
-
-// NewReplayEnvSkipping builds a replay environment positioned mid-log:
-// skip[tid] nondeterministic results of each thread are dropped. Reverse
-// debugging uses it to resume replay from a checkpoint.
-func NewReplayEnvSkipping(log []SyscallRecord, skip map[int]int) *ReplayEnv {
 	e := &ReplayEnv{perThread: make(map[int][]int64)}
 	for _, r := range log {
 		switch r.Num {
@@ -93,15 +90,14 @@ func NewReplayEnvSkipping(log []SyscallRecord, skip map[int]int) *ReplayEnv {
 			e.perThread[r.Tid] = append(e.perThread[r.Tid], r.Ret)
 		}
 	}
-	for tid, n := range skip {
-		q := e.perThread[tid]
-		if n >= len(q) {
-			e.perThread[tid] = nil
-		} else {
-			e.perThread[tid] = q[n:]
-		}
-	}
 	return e
+}
+
+// Clone returns an environment at the same log position; consuming
+// results from either leaves the other untouched. Replay cursors keep a
+// clone per saved position.
+func (e *ReplayEnv) Clone() *ReplayEnv {
+	return &ReplayEnv{perThread: maps.Clone(e.perThread)}
 }
 
 // Syscall implements SyscallSource.
