@@ -1,8 +1,6 @@
 package cfg
 
 import (
-	"sync"
-
 	"repro/internal/fnv1a"
 	"repro/internal/isa"
 	"repro/internal/lru"
@@ -18,18 +16,13 @@ import (
 // stale graphs are never returned (no invalidation protocol needed —
 // superseded entries just stop being requested).
 
-// Fingerprint digests a program's code so cache keys distinguish
-// programs beyond their name. Computed once per program (cached behind
-// a lock, keyed by pointer identity — Program values are immutable
-// once built).
+// Fingerprint digests a program's name and code so cache keys
+// distinguish programs beyond their name. It is recomputed on every call
+// (microseconds for the largest workloads) rather than memoised per
+// *isa.Program: a daemon compiles a fresh Program for every request, and
+// a memo keyed by pointer would pin each of them for the process
+// lifetime.
 func Fingerprint(prog *isa.Program) uint64 {
-	fingerMu.Lock()
-	if h, ok := fingerprints[prog]; ok {
-		fingerMu.Unlock()
-		return h
-	}
-	fingerMu.Unlock()
-
 	h := fnv1a.Offset
 	for _, b := range []byte(prog.Name) {
 		h = fnv1a.Fold(h, int64(b))
@@ -41,17 +34,8 @@ func Fingerprint(prog *isa.Program) uint64 {
 		h = fnv1a.Fold(h, int64(in.Rs2))
 		h = fnv1a.Fold(h, in.Imm)
 	}
-
-	fingerMu.Lock()
-	fingerprints[prog] = h
-	fingerMu.Unlock()
 	return h
 }
-
-var (
-	fingerMu     sync.Mutex
-	fingerprints = make(map[*isa.Program]uint64)
-)
 
 // graphKey identifies one cached FuncGraph.
 type graphKey struct {

@@ -22,6 +22,7 @@ import (
 // parallel forward pass queries IPDPc from every worker.
 type Analyzer struct {
 	prog *isa.Program
+	fp   uint64 // Fingerprint(prog), the graph-cache key's program part
 
 	mu     sync.RWMutex
 	graphs map[int64]*FuncGraph // keyed by function entry pc
@@ -38,6 +39,7 @@ type Analyzer struct {
 func NewAnalyzer(prog *isa.Program) *Analyzer {
 	return &Analyzer{
 		prog:     prog,
+		fp:       Fingerprint(prog),
 		graphs:   make(map[int64]*FuncGraph),
 		indirect: make(map[int64]map[int64]bool),
 	}
@@ -138,7 +140,7 @@ func (a *Analyzer) Graph(pc int64) (*FuncGraph, error) {
 		sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
 		targets[jpc] = ts
 	}
-	key := graphKey{prog: Fingerprint(a.prog), entry: fn.Entry, targets: targetsDigest(targets)}
+	key := graphKey{prog: a.fp, entry: fn.Entry, targets: targetsDigest(targets)}
 	g, err := CachedGraph(key, func() (*FuncGraph, error) {
 		return Build(a.prog, *fn, targets)
 	})

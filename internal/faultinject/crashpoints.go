@@ -72,17 +72,22 @@ func (p *PanicTracer) OnInstr(ev *vm.InstrEvent) {
 // StallTracer blocks at the After'th observed instruction until Release
 // is closed — a hung analysis pass for watchdog testing. Callers must
 // close Release (e.g. in a test cleanup) so the abandoned replay
-// goroutine can finish.
+// goroutine can finish. Stalled, when non-nil, is closed as the tracer
+// blocks, so a test can wait until the stall has really begun.
 type StallTracer struct {
 	vm.NopTracer
 	After   int64
 	Release chan struct{}
+	Stalled chan struct{}
 	n       int64
 }
 
 func (s *StallTracer) OnInstr(ev *vm.InstrEvent) {
 	s.n++
 	if s.n == s.After {
+		if s.Stalled != nil {
+			close(s.Stalled)
+		}
 		<-s.Release
 	}
 }
