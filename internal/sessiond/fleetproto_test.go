@@ -34,7 +34,7 @@ func TestStatsJSONShape(t *testing.T) {
 	}
 	for _, key := range []string{"received", "accepted", "rejected", "completed", "failed",
 		"active", "queued", "breakers_open", "breakers",
-		"engine_cache_entries", "engine_cache_cap", "graph_cache_entries", "graph_cache_cap"} {
+		"engine_cache_entries", "engine_cache_cap", "engine_cache_hits", "engine_cache_misses", "graph_cache_entries", "graph_cache_cap"} {
 		if _, ok := shape[key]; !ok {
 			t.Fatalf("stats JSON missing %q: %s", key, resp.Result)
 		}

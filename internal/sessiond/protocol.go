@@ -316,6 +316,8 @@ type StatsResult struct {
 	Breakers      []BreakerState `json:"breakers,omitempty"`
 	EngineEntries int            `json:"engine_cache_entries"`
 	EngineCap     int            `json:"engine_cache_cap"`
+	EngineHits    int64          `json:"engine_cache_hits"`
+	EngineMisses  int64          `json:"engine_cache_misses"`
 	GraphEntries  int            `json:"graph_cache_entries"`
 	GraphCap      int            `json:"graph_cache_cap"`
 }

@@ -364,6 +364,8 @@ func (s *Server) stats(req *Request) Response {
 		Breakers:      s.brk.snapshot(),
 		EngineEntries: eng.Entries,
 		EngineCap:     slice.EngineCacheCap(),
+		EngineHits:    eng.Hits,
+		EngineMisses:  eng.Misses,
 		GraphEntries:  gph.Entries,
 		GraphCap:      cfgpkg.GraphCacheCap(),
 	})}
