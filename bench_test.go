@@ -148,11 +148,11 @@ func BenchmarkFig13Pruning(b *testing.B) {
 func BenchmarkFig14ExecSlice(b *testing.B) {
 	prog, pb := regionPinball(b, "blackscholes", 20_000)
 	sess := drdebug.Open(prog, pb)
-	tr, err := sess.Trace()
+	tr, err := pinplay.CollectTrace(prog, pb, vm.Limits{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	slicer, err := sess.Slicer()
+	slicer, err := slice.New(prog, tr, slice.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -179,12 +179,11 @@ func BenchmarkSlicingOverhead(b *testing.B) {
 	prog, pb := regionPinball(b, "dedup", 20_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sess := drdebug.Open(prog, pb)
-		tr, err := sess.Trace()
+		tr, err := pinplay.CollectTrace(prog, pb, vm.Limits{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		s, err := sess.Slicer()
+		s, err := slice.New(prog, tr, slice.DefaultOptions())
 		if err != nil {
 			b.Fatal(err)
 		}

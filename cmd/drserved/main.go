@@ -121,7 +121,7 @@ func main() {
 		tid      = flag.Int("tid", 0, "slice criterion thread")
 		line     = flag.Int("line", 0, "slice criterion source line")
 		nth      = flag.Int("nth", 1, "slice criterion line instance")
-		workers  = flag.Int("workers", 0, "parallel slicing workers (0 = sequential)")
+		workers  = flag.Int("workers", 0, "workers building a slicing engine (0 = all CPUs)")
 		out      = flag.String("out", "", "record: where the daemon writes the pinball")
 		input    = flag.String("input", "", "record: program input words, comma separated")
 		seed     = flag.Int64("seed", 1, "record: scheduling seed")

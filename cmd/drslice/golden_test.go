@@ -8,6 +8,9 @@ import (
 	"testing"
 
 	drdebug "repro"
+	"repro/internal/pinplay"
+	"repro/internal/slice"
+	"repro/internal/vm"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files")
@@ -38,24 +41,39 @@ int main() {
 	return 0;
 }`
 
-// goldenSession records the program and computes the failure slice with
-// the given engine configuration.
-func goldenSession(t *testing.T, workers int) (*drdebug.Session, *drdebug.Slice) {
+// goldenSession records the program and computes the failure slice
+// twice: with the session's engine, and with the sequential reference
+// slicer over a trace of the test's own replay.
+func goldenSession(t *testing.T) (sess *drdebug.Session, engine, oracle *drdebug.Slice) {
 	t.Helper()
 	prog, err := drdebug.Compile("golden.c", goldenSrc)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	sess, err := drdebug.RecordFailure(prog, drdebug.LogConfig{Seed: 1, Input: []int64{5}}, 0)
+	sess, err = drdebug.RecordFailure(prog, drdebug.LogConfig{Seed: 1, Input: []int64{5}}, 0)
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}
-	sess.SetParallelWorkers(workers)
-	sl, err := sess.SliceAtFailure()
-	if err != nil {
+	sess.SetParallelWorkers(4)
+	if engine, err = sess.SliceAtFailure(); err != nil {
 		t.Fatalf("slice: %v", err)
 	}
-	return sess, sl
+	tr, err := pinplay.CollectTrace(prog, sess.Pinball, vm.Limits{})
+	if err != nil {
+		t.Fatalf("trace: %v", err)
+	}
+	ref, err := slice.New(prog, tr, slice.DefaultOptions())
+	if err != nil {
+		t.Fatalf("reference slicer: %v", err)
+	}
+	crit, err := slice.LastEventOf(tr, sess.Pinball.Failure.Tid)
+	if err != nil {
+		t.Fatalf("criterion: %v", err)
+	}
+	if oracle, err = ref.Slice(crit); err != nil {
+		t.Fatalf("reference slice: %v", err)
+	}
+	return sess, engine, oracle
 }
 
 // compareGolden checks got against testdata/<name>, rewriting it under
@@ -81,13 +99,14 @@ func compareGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// TestGoldenTextReport locks the text renderer's output, for both
-// engines: the byte-identical-slices guarantee must survive all the way
-// through the CLI's rendering path.
+// TestGoldenTextReport locks the text renderer's output, for the
+// engine's slice and the sequential reference's: the byte-identical-
+// slices guarantee must survive all the way through the CLI's rendering
+// path.
 func TestGoldenTextReport(t *testing.T) {
+	sess, engine, oracle := goldenSession(t)
 	var outputs [][]byte
-	for _, workers := range []int{0, 4} {
-		sess, sl := goldenSession(t, workers)
+	for _, sl := range []*drdebug.Slice{oracle, engine} {
 		var buf bytes.Buffer
 		if err := writeSliceText(sess, sl, &buf); err != nil {
 			t.Fatalf("render: %v", err)
@@ -95,19 +114,19 @@ func TestGoldenTextReport(t *testing.T) {
 		outputs = append(outputs, buf.Bytes())
 	}
 	if !bytes.Equal(outputs[0], outputs[1]) {
-		t.Fatalf("sequential and parallel text reports differ:\n--- sequential ---\n%s--- parallel ---\n%s",
+		t.Fatalf("sequential and engine text reports differ:\n--- sequential ---\n%s--- engine ---\n%s",
 			outputs[0], outputs[1])
 	}
 	compareGolden(t, "failure_slice.txt", outputs[0])
 }
 
 // TestGoldenHTMLReport locks the HTML renderer's output (source listing
-// highlighted in place), again for both engines.
+// highlighted in place), again for both slicers.
 func TestGoldenHTMLReport(t *testing.T) {
 	sources := map[string]string{"golden.c": goldenSrc}
+	sess, engine, oracle := goldenSession(t)
 	var outputs [][]byte
-	for _, workers := range []int{0, 4} {
-		sess, sl := goldenSession(t, workers)
+	for _, sl := range []*drdebug.Slice{oracle, engine} {
 		var buf bytes.Buffer
 		if err := renderSliceHTML(sess, sl, sources, &buf); err != nil {
 			t.Fatalf("render: %v", err)
@@ -115,7 +134,7 @@ func TestGoldenHTMLReport(t *testing.T) {
 		outputs = append(outputs, buf.Bytes())
 	}
 	if !bytes.Equal(outputs[0], outputs[1]) {
-		t.Fatal("sequential and parallel HTML reports differ")
+		t.Fatal("sequential and engine HTML reports differ")
 	}
 	compareGolden(t, "failure_slice.html", outputs[0])
 }

@@ -10,7 +10,7 @@
 //	drslice -file bug.c -pinball bug.pinball -tid 1 -line 12
 //	drslice ... -o bug.slice -exec -opinball bug-slice.pinball
 //	drslice ... -no-prune -no-refine                           # precision ablations
-//	drslice ... -workers 8 -cache-stats                        # parallel engine
+//	drslice ... -workers 8 -cache-stats                        # engine build workers
 //
 // Exit codes: 0 success, 1 usage/tool error, 2 the pinball file failed
 // to load (or salvage), 3 the pinball loaded but a replay of it failed
@@ -49,7 +49,7 @@ func main() {
 		outPB    = flag.String("opinball", "slice.pinball", "slice pinball path (with -exec)")
 		budget   = flag.Int64("budget", 0, "instruction budget per replay (0 = unbounded)")
 		deadline = flag.Duration("deadline", 0, "wall-clock limit per replay (0 = unbounded)")
-		workers  = flag.Int("workers", 0, "slice with the sharded parallel engine on this many workers (0 = sequential)")
+		workers  = flag.Int("workers", 0, "workers building the slicing engine (0 = all CPUs)")
 		cacheSt  = flag.Bool("cache-stats", false, "print dependence-graph cache statistics")
 		salvage  = flag.Bool("salvage", false, "salvage a damaged pinball file instead of rejecting it")
 	)
@@ -110,18 +110,15 @@ func run(file, workload, pinballPath, varName string, tid, line, nth int,
 	if sl.Prov != nil {
 		fmt.Printf("provenance: %s\n", sl.Prov)
 	}
-	fmt.Printf("precision: %d CFG refinements, %d save/restore pairs, %d bypasses, LP %d/%d blocks skipped\n",
-		sl.Stats.CFGRefinements, sl.Stats.VerifiedPairs, sl.Stats.PrunedBypasses,
-		sl.Stats.LPBlocksSkip, sl.Stats.LPBlocksSkip+sl.Stats.LPBlocksVisit)
-	if workers > 0 {
-		eng, err := sess.ParallelSlicer()
-		if err != nil {
-			return err
-		}
-		es := eng.Stats()
-		fmt.Printf("engine: %d workers, %d shards, %d indexed defs\n",
-			es.Workers, es.Shards, es.IndexDefs)
+	fmt.Printf("precision: %d CFG refinements, %d save/restore pairs, %d bypasses\n",
+		sl.Stats.CFGRefinements, sl.Stats.VerifiedPairs, sl.Stats.PrunedBypasses)
+	eng, err := sess.ParallelSlicer()
+	if err != nil {
+		return err
 	}
+	es := eng.Stats()
+	fmt.Printf("engine: %d workers, %d shards, %d indexed defs\n",
+		es.Workers, es.Shards, es.IndexDefs)
 	if cacheSt {
 		gs := drdebug.CFGCacheStats()
 		engs := drdebug.SliceEngineCacheStats()

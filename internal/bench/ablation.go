@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/slice"
 	"repro/internal/workloads"
 )
@@ -54,8 +53,7 @@ func Ablation(cfg Config) ([]AblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		sess := core.Open(prog, pb)
-		tr, err := sess.Trace()
+		tr, _, err := collectTrace(prog, pb)
 		if err != nil {
 			return nil, err
 		}

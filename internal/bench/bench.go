@@ -29,6 +29,7 @@ import (
 	"repro/internal/pinball"
 	"repro/internal/pinplay"
 	"repro/internal/tracer"
+	"repro/internal/vm"
 	"repro/internal/workloads"
 )
 
@@ -113,10 +114,11 @@ func replayTimed(prog *isa.Program, pb *pinball.Pinball) (time.Duration, error) 
 }
 
 // collectTrace replays with the tracing pintool and returns the trace and
-// the tracing wall time.
-func collectTrace(sess *core.Session) (*tracer.Trace, time.Duration, error) {
+// the tracing wall time. The trace is the caller's own: no slicing
+// engine is built or fetched from the engine cache.
+func collectTrace(prog *isa.Program, pb *pinball.Pinball) (*tracer.Trace, time.Duration, error) {
 	start := time.Now()
-	tr, err := sess.Trace()
+	tr, err := pinplay.CollectTrace(prog, pb, vm.Limits{})
 	return tr, time.Since(start), err
 }
 

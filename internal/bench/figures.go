@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/pinplay"
 	"repro/internal/slice"
 	"repro/internal/workloads"
 )
@@ -148,8 +148,7 @@ func pruneReduction(cfg *Config, w *workloads.Workload, length int64) (float64, 
 	if err != nil {
 		return 0, 0, err
 	}
-	sess := core.Open(prog, pb)
-	tr, err := sess.Trace()
+	tr, _, err := collectTrace(prog, pb)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -234,12 +233,12 @@ func execSliceRow(cfg *Config, w *workloads.Workload) (*Fig14Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	sess := core.Open(prog, pb)
-	tr, err := sess.Trace()
+	tr, _, err := collectTrace(prog, pb)
 	if err != nil {
 		return nil, err
 	}
-	slicer, err := sess.Slicer()
+	// The paper's LP slicer computes the slices Figure 14 replays.
+	slicer, err := slice.New(prog, tr, slice.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +260,7 @@ func execSliceRow(cfg *Config, w *workloads.Workload) (*Fig14Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		spb, _, err := sess.ExecutionSlice(sl)
+		spb, err := pinplay.Relog(prog, pb, slice.BuildExclusions(tr, sl))
 		if err != nil {
 			return nil, err
 		}
@@ -311,12 +310,12 @@ func SlicingOverhead(cfg Config) ([]OverheadSummary, error) {
 		if err != nil {
 			return nil, err
 		}
-		sess := core.Open(prog, pb)
-		tr, traceTime, err := collectTrace(sess)
+		tr, traceTime, err := collectTrace(prog, pb)
 		if err != nil {
 			return nil, err
 		}
-		slicer, err := sess.Slicer()
+		// The paper's LP slicer, timed per query as in §7.
+		slicer, err := slice.New(prog, tr, slice.DefaultOptions())
 		if err != nil {
 			return nil, err
 		}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/cfg"
-	"repro/internal/core"
 	"repro/internal/pinplay"
 	"repro/internal/slice"
 	"repro/internal/tracer"
@@ -128,8 +127,7 @@ func SliceBench(cfg Config, workers int) (*SliceBenchReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		sess := core.Open(prog, pb)
-		tr, _, err := collectTrace(sess)
+		tr, _, err := collectTrace(prog, pb)
 		if err != nil {
 			return nil, err
 		}

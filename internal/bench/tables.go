@@ -5,7 +5,10 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/isa"
 	"repro/internal/pinplay"
+	"repro/internal/slice"
+	"repro/internal/tracer"
 	"repro/internal/workloads"
 )
 
@@ -130,20 +133,22 @@ func bugOverhead(name string, cfg *Config, rootWindow int64) (*OverheadRow, erro
 	}
 	row.ReplayTime = rt
 
-	_, traceTime, err := collectTrace(sess)
+	tr, traceTime, err := collectTrace(prog, sess.Pinball)
 	if err != nil {
 		return nil, fmt.Errorf("bench: %s trace: %w", name, err)
 	}
 	row.TraceCollectTime = traceTime
 
+	// The paper's LP slicer over the collected trace: the slicing time
+	// covers the slicer build and the failure-point query, not the replay.
 	start := time.Now()
-	sl, err := sess.SliceAtFailure()
+	sl, err := sliceAtFailure(prog, tr, sess.Pinball.Failure.Tid)
 	if err != nil {
 		return nil, fmt.Errorf("bench: %s slice: %w", name, err)
 	}
 	row.SlicingTime = time.Since(start)
 
-	spb, _, err := sess.ExecutionSlice(sl)
+	spb, err := pinplay.Relog(prog, sess.Pinball, slice.BuildExclusions(tr, sl))
 	if err != nil {
 		return nil, fmt.Errorf("bench: %s exec slice: %w", name, err)
 	}
@@ -155,6 +160,20 @@ func bugOverhead(name string, cfg *Config, rootWindow int64) (*OverheadRow, erro
 		row.SliceReplayTime = srt
 	}
 	return row, nil
+}
+
+// sliceAtFailure slices the failing thread's last event with the
+// paper's LP slicer.
+func sliceAtFailure(prog *isa.Program, tr *tracer.Trace, tid int) (*slice.Slice, error) {
+	slicer, err := slice.New(prog, tr, slice.DefaultOptions())
+	if err != nil {
+		return nil, err
+	}
+	crit, err := slice.LastEventOf(tr, tid)
+	if err != nil {
+		return nil, err
+	}
+	return slicer.Slice(crit)
 }
 
 // Table2 reproduces Table 2: overheads with buggy execution regions

@@ -48,8 +48,46 @@ func sliceVar(t *testing.T, s *core.Session, name string) sliceOutcome {
 	return outcomeOf(sl)
 }
 
+// oracleSlicer is the sequential reference slicer over a trace of its
+// own replay of pb under limits, never one from the engine cache. A
+// flight-recorder pinball is bridged first and its trace carries the
+// gap overlay, as a session's does.
+func oracleSlicer(prog *isa.Program, pb *pinball.Pinball, limits vm.Limits) (*slice.Slicer, error) {
+	eff, brep, err := pinplay.BridgePinball(prog, pb, pinplay.ReplayOptions{Limits: limits})
+	if err != nil {
+		return nil, err
+	}
+	tr, err := pinplay.CollectTrace(prog, eff, limits)
+	if err != nil {
+		return nil, err
+	}
+	if pb.Gapped() {
+		tr.SetGaps(brep.GapSpans(pb))
+	}
+	return slice.New(prog, tr, slice.DefaultOptions())
+}
+
+// oracleDigest is the reference answer to sliceVar: the oracle's slice
+// of the last read of the named global.
+func oracleDigest(t *testing.T, prog *isa.Program, pb *pinball.Pinball, name string) string {
+	t.Helper()
+	s, err := oracleSlicer(prog, pb, vm.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	crit, err := slice.LastReadOf(s.Trace, prog.SymbolByName(name).Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl, err := s.Slice(crit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return slice.Summarize(sl).Digest
+}
+
 // TestEngineCacheTellsSameNamedProgramsApart slices two programs that
-// share a name and a pinball.ID in turn through the parallel engine.
+// share a name and a pinball.ID in turn through the column engine.
 // Each answer must be its own program's sequential slice, not the
 // engine cached for the other program.
 func TestEngineCacheTellsSameNamedProgramsApart(t *testing.T) {
@@ -70,9 +108,8 @@ func TestEngineCacheTellsSameNamedProgramsApart(t *testing.T) {
 		par := core.Open(prog, pb)
 		par.SetParallelWorkers(1)
 		got := sliceVar(t, par, "x")
-		want := sliceVar(t, core.Open(prog, pb), "x")
-		if got.digest != want.digest {
-			t.Errorf("program %d: parallel slice %s, sequential %s", i, got.digest, want.digest)
+		if want := oracleDigest(t, prog, pb, "x"); got.digest != want {
+			t.Errorf("program %d: engine slice %s, sequential %s", i, got.digest, want)
 		}
 	}
 	if ids[0] != ids[1] {
@@ -123,30 +160,27 @@ func TestWarmSessionReplaysNothing(t *testing.T) {
 	}
 }
 
-// TestSequentialSlicerReplaysAfterAdoption: a session that adopted the
-// cached engine's trace and then switches to the sequential slicer must
-// replay for it, so the sequential slicer stays an independent oracle.
-// Under a one-instruction budget that replay fails.
-func TestSequentialSlicerReplaysAfterAdoption(t *testing.T) {
+// TestOracleReplaysWhileEngineWarm: the sequential reference the tests
+// compare against collects a trace of its own replay even while the
+// recording's engine is resident, so it stays an independent oracle.
+// Under a one-instruction budget a warm session still answers, and the
+// oracle fails with ErrLimit.
+func TestOracleReplaysWhileEngineWarm(t *testing.T) {
 	slice.ResetEngineCache()
 	defer slice.ResetEngineCache()
 	full, _ := ringDiffSessions(t)
-	full.SetParallelWorkers(2)
 	want := sliceVar(t, full, "counter")
 
 	warm := core.Open(full.Prog, full.Pinball)
-	warm.SetParallelWorkers(2)
+	warm.SetLimits(vm.Limits{Steps: 1})
 	if got := sliceVar(t, warm, "counter"); !reflect.DeepEqual(got, want) {
 		t.Fatalf("warm session answered %+v, want %+v", got, want)
 	}
-	warm.SetParallelWorkers(0)
-	warm.SetLimits(vm.Limits{Steps: 1})
-	if _, err := warm.Slicer(); !errors.Is(err, pinplay.ErrLimit) {
-		t.Fatalf("sequential slicer after adoption under a 1-step budget: %v, want ErrLimit", err)
+	if _, err := oracleSlicer(full.Prog, full.Pinball, vm.Limits{Steps: 1}); !errors.Is(err, pinplay.ErrLimit) {
+		t.Fatalf("oracle under a 1-step budget: %v, want ErrLimit", err)
 	}
-	warm.SetLimits(vm.Limits{})
-	if got := sliceVar(t, warm, "counter"); !reflect.DeepEqual(got, want) {
-		t.Fatalf("sequential slice after adoption %+v, want %+v", got, want)
+	if got := oracleDigest(t, full.Prog, full.Pinball, "counter"); got != want.digest {
+		t.Fatalf("oracle slice %s, engine %s", got, want.digest)
 	}
 }
 

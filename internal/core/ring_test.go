@@ -197,9 +197,9 @@ func TestRingSliceDifferential(t *testing.T) {
 
 // TestRingSliceDeterministic pins byte-determinism end to end: recording
 // the same execution in ring mode twice yields byte-identical pinballs,
-// and slicing the ring pinball sequentially, in a fresh session, and with
-// the parallel engine at several worker counts yields the same digest and
-// the same provenance summary every time.
+// and slicing the ring pinball in fresh sessions whose engines are built
+// at several worker counts yields the sequential oracle's digest and
+// provenance summary every time.
 func TestRingSliceDeterministic(t *testing.T) {
 	prog := ringDiffProg(t)
 	cfg := ringDiffConfig()
@@ -223,9 +223,28 @@ func TestRingSliceDeterministic(t *testing.T) {
 		t.Fatal("two ring recordings of the same execution differ byte-for-byte")
 	}
 
-	var wantDigest string
-	var wantProv slice.ProvSummary
-	for i, workers := range []int{0, 1, 4, 7} {
+	// The reference is the sequential oracle over its own bridged replay.
+	oracle, err := oracleSlicer(prog, pb1, vm.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	crit, err := slice.LastReadOf(oracle.Trace, prog.SymbolByName("counter").Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := oracle.Slice(crit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slice.AnnotateProvenance(oracle.Trace, want)
+	if want.Prov == nil {
+		t.Fatal("oracle slice of the ring pinball not annotated")
+	}
+	wantDigest, wantProv := slice.Summarize(want).Digest, *want.Prov
+
+	defer slice.ResetEngineCache()
+	for _, workers := range []int{0, 1, 4, 7} {
+		slice.ResetEngineCache() // each worker count builds its own engine
 		sess := core.Open(prog, pb1)
 		sess.SetParallelWorkers(workers)
 		sl, err := sess.SliceForVariable("counter")
@@ -235,12 +254,7 @@ func TestRingSliceDeterministic(t *testing.T) {
 		if sl.Prov == nil {
 			t.Fatalf("workers=%d: slice not annotated", workers)
 		}
-		digest := slice.Summarize(sl).Digest
-		if i == 0 {
-			wantDigest, wantProv = digest, *sl.Prov
-			continue
-		}
-		if digest != wantDigest {
+		if digest := slice.Summarize(sl).Digest; digest != wantDigest {
 			t.Errorf("workers=%d: digest %s, want %s", workers, digest, wantDigest)
 		}
 		if *sl.Prov != wantProv {

@@ -22,15 +22,15 @@ import (
 )
 
 // Session is one cyclic-debugging session: a program plus the pinball
-// capturing the execution (region) under study. Traces and slicers are
-// computed lazily and cached — PinPlay's repeatability guarantee makes
-// one trace valid for every replay of the same pinball.
+// capturing the execution (region) under study. The trace and the
+// slicing engine are computed lazily and cached — PinPlay's
+// repeatability guarantee makes one trace valid for every replay of the
+// same pinball.
 type Session struct {
 	Prog    *isa.Program
 	Pinball *pinball.Pinball
 
 	trace    *tracer.Trace
-	slicer   *slice.Slicer
 	parallel *slice.ParallelSlicer
 	workers  int
 	opts     slice.Options
@@ -44,10 +44,6 @@ type Session struct {
 	// overlay for provenance tagging.
 	eff    *pinball.Pinball
 	bridge *pinplay.BridgeReport
-
-	// adopted records that trace is a cached engine's, not this
-	// session's own replay (see Trace).
-	adopted bool
 }
 
 // SetSupervisor configures the retry/watchdog policy ReplaySupervised
@@ -56,7 +52,7 @@ func (s *Session) SetSupervisor(o supervisor.Options) { s.sup = o }
 
 // SetLimits bounds every replay the session performs (trace collection,
 // relogging, Replay): instruction budget, wall-clock deadline, memory
-// cap, cancellation. The zero value imposes no bounds. A trace adopted
+// cap, cancellation. The zero value imposes no bounds. A trace taken
 // from the engine cache (see Trace) replays nothing and so consumes
 // none of the budget.
 func (s *Session) SetLimits(l vm.Limits) { s.limits = l }
@@ -100,27 +96,17 @@ func LoadSession(prog *isa.Program, pinballPath string) (*Session, error) {
 	return Open(prog, pb), nil
 }
 
-// SetSliceOptions configures the slicer used by subsequent slice requests,
-// invalidating any cached slicer.
+// SetSliceOptions configures the engine used by subsequent slice
+// requests, invalidating the session's engine.
 func (s *Session) SetSliceOptions(opts slice.Options) {
 	s.opts = opts
-	s.slicer = nil
 	s.parallel = nil
 }
 
-// SetParallelWorkers routes subsequent slice requests through the
-// sharded parallel engine with the given worker count (0 restores the
-// sequential slicer). Slice results are bit-identical either way; only
-// the build cost changes.
-func (s *Session) SetParallelWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	if n != s.workers {
-		s.workers = n
-		s.parallel = nil
-	}
-}
+// SetParallelWorkers sets how many workers build the session's engine
+// when it is not already cached; <= 0 means GOMAXPROCS. Slice results
+// do not depend on it, only the build cost does.
+func (s *Session) SetParallelWorkers(n int) { s.workers = n }
 
 // effective returns the pinball replays should run against: the
 // session's own pinball, or — for a flight-recorder pinball with
@@ -214,90 +200,50 @@ func (s *Session) ReplayMachine(t vm.Tracer) *vm.Machine {
 }
 
 // Trace returns the session's dynamic-information trace (def/use events,
-// shared-memory order, global trace), collecting it on first use by
-// replaying the region with the tracing pintool attached.
-//
-// A session answering through the parallel engine (SetParallelWorkers
-// above 0) takes its trace from the engine instead: every replay of one
-// recording yields the same trace, so when the engine is resident in the
+// shared-memory order, global trace): the trace of the session's
+// slicing engine (see ParallelSlicer). Every replay of one recording
+// yields the same trace, so when the engine is resident in the
 // process-lifetime cache the session adopts the engine's trace (gap
 // overlay included) and replays nothing — and consumes none of its
 // vm.Limits budget. A flight-recorder pinball is still bridged first,
-// for its GapReport. The sequential slicer never runs on an adopted
-// trace (see Slicer), which keeps it an independent oracle.
+// for its GapReport.
 func (s *Session) Trace() (*tracer.Trace, error) {
-	if s.trace != nil {
-		return s.trace, nil
+	if _, err := s.ParallelSlicer(); err != nil {
+		return nil, err
 	}
-	if s.workers > 0 {
-		if _, err := s.ParallelSlicer(); err != nil {
-			return nil, err
-		}
-		return s.trace, nil
-	}
-	return s.replayTrace()
+	return s.trace, nil
 }
 
-// replayTrace returns the session's own trace, replaying the region to
-// collect it unless an earlier call did.
+// replayTrace is the engine loader: it returns the session's trace,
+// replaying the region with the tracing pintool attached to collect it
+// unless the session already holds one.
 func (s *Session) replayTrace() (*tracer.Trace, error) {
-	if s.trace != nil && !s.adopted {
+	if s.trace != nil {
 		return s.trace, nil
 	}
 	pb, err := s.effective()
 	if err != nil {
 		return nil, err
 	}
-	col := tracer.NewRegionCollector(pb.Quanta)
-	_, _, err = pinplay.ReplayWith(s.Prog, pb, pinplay.ReplayOptions{Tracer: col, Limits: s.limits})
+	tr, err := pinplay.CollectTrace(s.Prog, pb, s.limits)
 	if err != nil {
 		return nil, fmt.Errorf("core: trace collection: %w", err)
-	}
-	tr := col.Trace()
-	if err := tr.BuildGlobal(); err != nil {
-		return nil, err
 	}
 	// Flight-recorder pinball: overlay the gap spans so slices can tag
 	// every dependence that crosses an evicted window.
 	if s.Pinball.Gapped() {
-		est := make(map[int64]bool, len(s.bridge.Estimated))
-		for _, e := range s.bridge.Estimated {
-			est[e.ID] = true
-		}
-		gaps := make([]tracer.GapSpan, 0, len(s.Pinball.Evictions))
-		for _, e := range s.Pinball.Evictions {
-			gaps = append(gaps, tracer.GapSpan{From: e.FromStep, To: e.ToStep, Estimated: est[e.ID]})
-		}
-		tr.SetGaps(gaps)
+		tr.SetGaps(s.bridge.GapSpans(s.Pinball))
 	}
-	s.trace, s.adopted = tr, false
+	s.trace = tr
 	return tr, nil
 }
 
-// Slicer returns the session's slicer (forward analysis run once, then
-// reused across slice requests). It is built over the session's own
-// replay, never over a trace adopted from the engine cache.
-func (s *Session) Slicer() (*slice.Slicer, error) {
-	if s.slicer != nil {
-		return s.slicer, nil
-	}
-	tr, err := s.replayTrace()
-	if err != nil {
-		return nil, err
-	}
-	sl, err := slice.New(s.Prog, tr, s.opts)
-	if err != nil {
-		return nil, err
-	}
-	s.slicer = sl
-	return sl, nil
-}
-
-// ParallelSlicer returns the session's sharded parallel engine, fetching
-// it from the process-lifetime engine cache, keyed by the recording's
-// full content and the program's code (slice.KeyOf), or on a miss
-// replaying the region and building it. A session without a trace of
-// its own adopts the engine's.
+// ParallelSlicer returns the engine answering the session's slice
+// requests: the sharded column engine, fetched from the process-lifetime
+// engine cache, keyed by the recording's full content and the program's
+// code (slice.KeyOf), or on a miss built over the session's trace,
+// replaying the region to collect it first if need be. A session
+// without a trace of its own adopts the engine's.
 func (s *Session) ParallelSlicer() (*slice.ParallelSlicer, error) {
 	if s.parallel != nil {
 		return s.parallel, nil
@@ -315,20 +261,10 @@ func (s *Session) ParallelSlicer() (*slice.ParallelSlicer, error) {
 		return nil, err
 	}
 	if s.trace == nil {
-		s.trace, s.adopted = eng.Trace, true
+		s.trace = eng.Trace
 	}
 	s.parallel = eng
 	return eng, nil
-}
-
-// Querier returns the engine answering the session's slice requests:
-// the parallel engine when SetParallelWorkers enabled it, the
-// sequential slicer otherwise.
-func (s *Session) Querier() (slice.Querier, error) {
-	if s.workers > 0 {
-		return s.ParallelSlicer()
-	}
-	return s.Slicer()
 }
 
 // SliceAtFailure computes the backward slice of the failure point (the
@@ -382,11 +318,11 @@ func (s *Session) ResolveCriterion(varName string, tid int, line int32, nth int)
 // member and edge that touches a bridged or estimated window is tagged,
 // and the slice carries a provenance summary.
 func (s *Session) SliceFor(crit tracer.Ref) (*slice.Slice, error) {
-	q, err := s.Querier()
+	eng, err := s.ParallelSlicer()
 	if err != nil {
 		return nil, err
 	}
-	sl, err := q.Slice(crit)
+	sl, err := eng.Slice(crit)
 	if err != nil {
 		return nil, err
 	}

@@ -500,7 +500,9 @@ func (co *Coordinator) pick(key string, tried map[string]bool) (WorkerInfo, bool
 // and a per-request I/O deadline, charging transport failures (and only
 // those) to the worker's circuit. The link is registered under the
 // worker's name so a dead-worker sweep can sever it, and under t (when
-// hedging) so the first response cancels it.
+// hedging) so the first response cancels it. A hedged attempt that
+// fails after its task has its answer lost the race — the winner tore
+// its connection down — and is not charged.
 func (co *Coordinator) send(w WorkerInfo, req *sessiond.Request, t *task) (*sessiond.Response, error) {
 	c, err := co.cfg.Dial(w.Addr, co.cfg.DialTimeout)
 	if err != nil {
@@ -518,7 +520,9 @@ func (co *Coordinator) send(w WorkerInfo, req *sessiond.Request, t *task) (*sess
 	c.SetDeadline(time.Now().Add(co.cfg.RequestTimeout))
 	resp, err := c.Do(req)
 	if err != nil {
-		co.wbrk.failure(w.Name)
+		if t == nil || !t.done.Load() {
+			co.wbrk.failure(w.Name)
+		}
 		return nil, err
 	}
 	co.wbrk.success(w.Name)

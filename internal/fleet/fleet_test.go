@@ -212,6 +212,36 @@ func TestWorkerBreakerTransportOnly(t *testing.T) {
 	}
 }
 
+// TestLostHedgesKeepCircuitClosed: a hedged attempt whose connection
+// the winning answer tears down lost a race; the worker did nothing
+// wrong. Losing as many hedges in a row as the breaker's threshold must
+// leave the worker's circuit closed.
+func TestLostHedgesKeepCircuitClosed(t *testing.T) {
+	held := make(chan struct{}, 1)
+	addr := fakeWorker(t, func(*sessiond.Request) *sessiond.Response {
+		held <- struct{}{}
+		return nil // hold the request until the winner cancels it
+	})
+	co := NewCoordinator(Config{Breaker: BreakerConfig{K: 3}})
+	w := WorkerInfo{Name: "w1", Addr: addr}
+	for i := 0; i < 3; i++ {
+		tk := newTask(fmt.Sprint(i), &sessiond.Request{Op: sessiond.OpSliceShard})
+		errc := make(chan error, 1)
+		go func() {
+			_, err := co.send(w, tk.req, tk)
+			errc <- err
+		}()
+		<-held // the hedge is in flight at the worker
+		tk.deliver(&sessiond.Response{OK: true})
+		if err := <-errc; err == nil {
+			t.Fatalf("hedge %d: the torn-down attempt reported no error", i)
+		}
+	}
+	if co.wbrk.open(w.Name) {
+		t.Fatal("three lost hedges opened a healthy worker's circuit")
+	}
+}
+
 // TestDeadWorkerRedispatch is the tentpole's determinism criterion: a
 // worker dies holding an in-flight request; once the injected clock
 // passes the heartbeat timeout and the sweep declares it dead, the
@@ -338,6 +368,11 @@ func TestCoordinatorDrainRefusesSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// One round trip first: the accept loop closes connections that
+	// arrive during a drain, so the drain must find this one served.
+	if _, err := c.Do(&sessiond.Request{Op: sessiond.OpHealth}); err != nil {
+		t.Fatal(err)
+	}
 	co.draining.Store(true)
 	resp, err := c.Do(&sessiond.Request{Op: sessiond.OpReplay, File: "x.c", Pinball: "nowhere.pinball"})
 	if err != nil {

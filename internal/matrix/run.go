@@ -18,6 +18,7 @@ import (
 	"repro/internal/maple"
 	"repro/internal/pinball"
 	"repro/internal/pinplay"
+	"repro/internal/slice"
 	"repro/internal/supervisor"
 	"repro/internal/vm"
 	"repro/internal/workloads"
@@ -320,11 +321,17 @@ func (r *runner) executeCell(ctx context.Context, c *Cell, res *CellResult) erro
 				res.ExitCode = CellEstimated
 			}
 		}
-		slicer, err := sess.Slicer()
+		// The sequential reference slicer checks the engine's answer
+		// over the same trace.
+		tr, err := sess.Trace()
 		if err != nil {
 			return err
 		}
-		if err := slicer.CheckClosure(sl); err != nil {
+		oracle, err := slice.New(prog, tr, slice.DefaultOptions())
+		if err != nil {
+			return err
+		}
+		if err := oracle.CheckClosure(sl); err != nil {
 			res.SliceClosed = false
 			res.Reason = err.Error()
 		} else {

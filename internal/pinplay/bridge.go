@@ -7,6 +7,7 @@ import (
 	"repro/internal/fnv1a"
 	"repro/internal/isa"
 	"repro/internal/pinball"
+	"repro/internal/tracer"
 	"repro/internal/vm"
 )
 
@@ -54,6 +55,21 @@ type BridgeReport struct {
 
 // Degraded reports whether any bridged window failed verification.
 func (b *BridgeReport) Degraded() bool { return b != nil && len(b.Estimated) > 0 }
+
+// GapSpans returns the trace overlay for the gapped pinball pb that this
+// report bridged: one span per evicted window, marked estimated when the
+// window's verification failed. Slices tag every dependence crossing one.
+func (b *BridgeReport) GapSpans(pb *pinball.Pinball) []tracer.GapSpan {
+	est := make(map[int64]bool, len(b.Estimated))
+	for _, e := range b.Estimated {
+		est[e.ID] = true
+	}
+	gaps := make([]tracer.GapSpan, 0, len(pb.Evictions))
+	for _, e := range pb.Evictions {
+		gaps = append(gaps, tracer.GapSpan{From: e.FromStep, To: e.ToStep, Estimated: est[e.ID]})
+	}
+	return gaps
+}
 
 // primedScheduler replays the recipe's in-flight quantum first, then
 // hands over to the resumed scheduler. A recording region rarely starts

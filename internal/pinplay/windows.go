@@ -1,9 +1,28 @@
 package pinplay
 
 import (
+	"repro/internal/isa"
 	"repro/internal/pinball"
 	"repro/internal/tracer"
+	"repro/internal/vm"
 )
+
+// CollectTrace replays pb with the tracing pintool attached, under
+// limits, and returns the region's trace with its global order built.
+// It is the one place a trace is collected from a recording: sessions
+// load their engine through it, and the sequential reference slicer's
+// callers use it to get a trace of their own replay.
+func CollectTrace(prog *isa.Program, pb *pinball.Pinball, limits vm.Limits) (*tracer.Trace, error) {
+	col := tracer.NewRegionCollector(pb.Quanta)
+	if _, _, err := ReplayWith(prog, pb, ReplayOptions{Tracer: col, Limits: limits}); err != nil {
+		return nil, err
+	}
+	tr := col.Trace()
+	if err := tr.BuildGlobal(); err != nil {
+		return nil, err
+	}
+	return tr, nil
+}
 
 // TraceWindows shards a region trace of traceLen entries into the
 // windows the parallel slicing engine processes concurrently. The

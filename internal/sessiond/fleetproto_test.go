@@ -2,8 +2,11 @@ package sessiond
 
 import (
 	"encoding/json"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/slice"
 )
 
 // TestStatsJSONShape pins the stats payload's wire shape — the fields a
@@ -122,5 +125,49 @@ func TestSliceShardOverTCP(t *testing.T) {
 	if got.Digest != want.Digest || got.Members != want.Members ||
 		int(got.Deps) != want.Deps || got.TraceLen != want.TraceLen {
 		t.Fatalf("sharded result %+v != whole-slice %+v", got, want)
+	}
+}
+
+// TestSliceShardRejectsMalformedState sends a shard state carrying an
+// event position far outside the trace. The daemon must answer
+// bad_request after one attempt, not panic and retry into internal, and
+// keep serving the well-formed state.
+func TestSliceShardRejectsMalformedState(t *testing.T) {
+	f := makeDaemonFixture(t)
+	var retries atomic.Int32
+	sup := fastSup()
+	sup.OnRetry = func(int, error) { retries.Add(1) }
+	_, addr := startServer(t, Config{Supervisor: sup})
+	c := dialT(t, addr)
+
+	hop := func(state json.RawMessage) *Response {
+		return c.do(&Request{
+			Op: OpSliceShard, Proto: ProtoV2,
+			File: f.src, Pinball: f.good, Var: "counter",
+			Workers: 2, ShardWindows: 1, State: state,
+		})
+	}
+	first := hop(nil)
+	var sr ShardResult
+	if !first.OK || json.Unmarshal(first.Result, &sr) != nil || sr.Done {
+		t.Fatalf("first hop did not suspend: %+v", first)
+	}
+	var st slice.QueryState
+	if err := json.Unmarshal(sr.State, &st); err != nil {
+		t.Fatal(err)
+	}
+	st.Events = append(st.Events, 1<<30)
+	bad, err := json.Marshal(&st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp := hop(bad); resp.OK || resp.Code != CodeBadRequest {
+		t.Fatalf("malformed state: %+v, want %s", resp, CodeBadRequest)
+	}
+	if n := retries.Load(); n != 0 {
+		t.Fatalf("malformed state retried %d times", n)
+	}
+	if resp := hop(sr.State); !resp.OK {
+		t.Fatalf("well-formed state after the rejection: %+v", resp)
 	}
 }

@@ -177,7 +177,8 @@ type Request struct {
 	Tid  int    `json:"tid,omitempty"`
 	Line int    `json:"line,omitempty"`
 	Nth  int    `json:"nth,omitempty"`
-	// Workers selects the parallel slicing engine (0 = sequential).
+	// Workers is the worker count that builds the slicing engine on a
+	// cache miss (0 = all CPUs).
 	Workers int `json:"workers,omitempty"`
 
 	// Record parameters: where to save the pinball, program input and

@@ -318,6 +318,7 @@ func (r *runner) sliceShard(req *Request, limits vm.Limits) (*sessionResult, err
 	sess.SetParallelWorkers(req.Workers)
 
 	var payload ShardResult
+	var badState error
 	rep, err := supervisor.Run(supervisor.PhaseSlice, r.sup, func() error {
 		eng, serr := sess.ParallelSlicer()
 		if serr != nil {
@@ -337,6 +338,11 @@ func (r *runner) sliceShard(req *Request, limits vm.Limits) (*sessionResult, err
 			}
 		}
 		next, serr := eng.SliceShard(crit, st, eng.NextShardLo(bound, req.ShardWindows))
+		if errors.Is(serr, slice.ErrBadState) {
+			// The sender's fault: end the phase without a retry.
+			badState = serr
+			return nil
+		}
 		if serr != nil {
 			return serr
 		}
@@ -360,6 +366,9 @@ func (r *runner) sliceShard(req *Request, limits vm.Limits) (*sessionResult, err
 	out := &sessionResult{report: rep}
 	if err != nil {
 		return out, err
+	}
+	if badState != nil {
+		return out, badRequest("%v", badState)
 	}
 	out.result = encode(payload)
 	switch {

@@ -11,6 +11,12 @@ import (
 	"repro/internal/tracer"
 )
 
+// querier is what both engines answer, so one check can range over
+// the sequential reference and the column engine.
+type querier interface {
+	Slice(crit tracer.Ref) (*Slice, error)
+}
+
 // Property-based closure tests (in the internal package, so they can see
 // the forward-pass metadata and the member set). The defining property
 // of a backward dynamic slice is closure: for every member, the dynamic
@@ -217,7 +223,7 @@ func TestSliceClosureProperties(t *testing.T) {
 		}
 		for _, eng := range []struct {
 			name     string
-			q        Querier
+			q        querier
 			bypassAt func(g int) (bypassInfo, bool)
 			parent   []int32
 		}{
@@ -233,50 +239,6 @@ func TestSliceClosureProperties(t *testing.T) {
 			checkDataClosure(t, label, tr, sl, opts, eng.bypassAt)
 			if opts.ControlDeps {
 				checkControlClosure(t, label, tr, sl, eng.parent)
-			}
-		}
-	}
-}
-
-// TestDefIndexMatchesTrace cross-checks the stitched definition index
-// against a direct trace scan, for several window sizes and worker
-// counts (including windows much smaller and much larger than the
-// trace).
-func TestDefIndexMatchesTrace(t *testing.T) {
-	_, tr, _ := propTrace(t, 9)
-	n := len(tr.Global)
-	var buf [8]tracer.Loc
-
-	// Reference: per-location def positions from one forward scan.
-	want := make(map[tracer.Loc][]int)
-	for g := 0; g < n; g++ {
-		for _, l := range tracer.Defs(tr.Entry(tr.Global[g]), buf[:0]) {
-			want[l] = append(want[l], g)
-		}
-	}
-
-	for _, window := range []int{1, 7, 64, n, 10 * n} {
-		for _, workers := range []int{1, 4} {
-			idx := tracer.BuildDefIndex(tr, tracer.SplitWindows(n, window), workers)
-			for l, ps := range want {
-				// NearestDefBefore at each def position must return the
-				// previous def; past-the-end returns the last.
-				for i, p := range ps {
-					got, ok := idx.NearestDefBefore(l, p)
-					if i == 0 {
-						if ok {
-							t.Fatalf("window %d: loc %v has no def before %d, index returned %d", window, l, p, got)
-						}
-					} else if !ok || got != ps[i-1] {
-						t.Fatalf("window %d: loc %v nearest def before %d = %d, want %d", window, l, p, got, ps[i-1])
-					}
-				}
-				if got, ok := idx.NearestDefBefore(l, n); !ok || got != ps[len(ps)-1] {
-					t.Fatalf("window %d: loc %v last def = %d,%v want %d", window, l, got, ok, ps[len(ps)-1])
-				}
-			}
-			if idx.Locations() != len(want) {
-				t.Fatalf("window %d: index covers %d locations, want %d", window, idx.Locations(), len(want))
 			}
 		}
 	}

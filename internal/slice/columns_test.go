@@ -3,6 +3,7 @@ package slice
 import (
 	"fmt"
 	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/cc"
@@ -31,26 +32,66 @@ func replayTrace(t *testing.T, prog *isa.Program, pb *pinball.Pinball) *tracer.T
 	return tr
 }
 
+// defScan is the linear-scan definition oracle: it walks the global
+// trace forward and answers, at position g, each location's last
+// definition below g. Queries at non-decreasing positions cost one walk
+// in total; a query behind the walk restarts it.
+type defScan struct {
+	tr   *tracer.Trace
+	g    int
+	last map[tracer.Loc]int32
+}
+
+func newDefScan(tr *tracer.Trace) *defScan {
+	return &defScan{tr: tr, last: make(map[tracer.Loc]int32)}
+}
+
+// before returns the greatest global position below g whose entry
+// defines l, or -1 when none does.
+func (d *defScan) before(l tracer.Loc, g int) int32 {
+	if g < d.g {
+		d.g, d.last = 0, make(map[tracer.Loc]int32)
+	}
+	var buf [8]tracer.Loc
+	for ; d.g < g; d.g++ {
+		for _, def := range tracer.Defs(d.tr.Entry(d.tr.Global[d.g]), buf[:0]) {
+			d.last[def] = int32(d.g)
+		}
+	}
+	if p, ok := d.last[l]; ok {
+		return p
+	}
+	return -1
+}
+
 // checkColumnsAgainstOracle builds the parallel engine over tr for
 // windows of 1, 7, 64 and defaultWindow entries with 1 and 4 workers,
-// and checks every stored link against the per-location definition
-// index and every stored parent against the sequential forward pass.
+// and checks every stored link against the linear-scan definition
+// oracle and every stored parent against the sequential forward pass.
 func checkColumnsAgainstOracle(t *testing.T, prog *isa.Program, tr *tracer.Trace, defaultWindow int) {
 	t.Helper()
 	n := len(tr.Global)
-	idx := tracer.BuildDefIndex(tr, tracer.SplitWindows(n, n), 1)
 	opts := DefaultOptions()
 	fwd, err := runForward(prog, tr, cfg.NewAnalyzer(prog), findSaveRestoreCandidates(prog, opts.MaxSave), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	near := func(l tracer.Loc, g int) int32 {
-		if p, ok := idx.NearestDefBefore(l, g); ok {
-			return int32(p)
-		}
-		return -1
-	}
+	// The oracle's links, one list per position: uses then definitions,
+	// the column layout.
 	var ubuf, dbuf [8]tracer.Loc
+	want := make([][]int32, n)
+	var defs int64
+	scan := newDefScan(tr)
+	for g, ref := range tr.Global {
+		e := tr.Entry(ref)
+		for _, l := range tracer.Uses(e, ubuf[:0]) {
+			want[g] = append(want[g], scan.before(l, g))
+		}
+		for _, l := range tracer.Defs(e, dbuf[:0]) {
+			want[g] = append(want[g], scan.before(l, g))
+			defs++
+		}
+	}
 	for _, window := range []int{1, 7, 64, defaultWindow} {
 		for _, workers := range []int{1, 4} {
 			label := fmt.Sprintf("window %d workers %d", window, workers)
@@ -58,25 +99,12 @@ func checkColumnsAgainstOracle(t *testing.T, prog *isa.Program, tr *tracer.Trace
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			if st := eng.Stats(); st.Shards != len(tracer.SplitWindows(n, window)) || st.IndexDefs != idx.DefCount() {
-				t.Fatalf("%s: stats %+v, want %d shards and %d defs", label, st, len(tracer.SplitWindows(n, window)), idx.DefCount())
+			if st := eng.Stats(); st.Shards != len(tracer.SplitWindows(n, window)) || st.IndexDefs != defs {
+				t.Fatalf("%s: stats %+v, want %d shards and %d defs", label, st, len(tracer.SplitWindows(n, window)), defs)
 			}
 			for g, ref := range tr.Global {
-				e := tr.Entry(ref)
-				uses, defs := tracer.Uses(e, ubuf[:0]), tracer.Defs(e, dbuf[:0])
-				links := eng.cols.links(g)
-				if len(links) != len(uses)+len(defs) {
-					t.Fatalf("%s: position %d has %d links for %d uses and %d defs", label, g, len(links), len(uses), len(defs))
-				}
-				for k, l := range uses {
-					if want := near(l, g); links[k] != want {
-						t.Fatalf("%s: position %d use %v reaching def %d, want %d", label, g, l, links[k], want)
-					}
-				}
-				for k, l := range defs {
-					if want := near(l, g); links[len(uses)+k] != want {
-						t.Fatalf("%s: position %d def %v previous def %d, want %d", label, g, l, links[len(uses)+k], want)
-					}
+				if links := eng.cols.links(g); !slices.Equal(links, want[g]) {
+					t.Fatalf("%s: position %d links %v, want %v (uses then defs)", label, g, links, want[g])
 				}
 				want := int32(-1)
 				if p, ok := fwd.parentOf(ref); ok {

@@ -15,6 +15,12 @@ import (
 	"repro/internal/tracer"
 )
 
+// querier is what both engines answer, so one check can range over
+// the sequential reference and the column engine.
+type querier interface {
+	Slice(crit tracer.Ref) (*slice.Slice, error)
+}
+
 // The differential harness: the parallel sharded engine must produce
 // bit-identical slices to the sequential slicer — same members, same
 // exemplar dependence edges in the same order, same bypass counts — for
@@ -220,7 +226,7 @@ func TestDifferentialDualSlice(t *testing.T) {
 		}
 
 		opts := slice.DefaultOptions()
-		sliceBoth := func(q func(prog *isa.Program, tr *tracer.Trace, pb *pinball.Pinball) slice.Querier) *dualslice.Diff {
+		sliceBoth := func(q func(prog *isa.Program, tr *tracer.Trace, pb *pinball.Pinball) querier) *dualslice.Diff {
 			slA, err := q(progA, trA, pbA).Slice(critA)
 			if err != nil {
 				t.Fatal(err)
@@ -232,14 +238,14 @@ func TestDifferentialDualSlice(t *testing.T) {
 			return dualslice.Compare(progA, trA, slA, trB, slB)
 		}
 
-		seqDiff := sliceBoth(func(prog *isa.Program, tr *tracer.Trace, pb *pinball.Pinball) slice.Querier {
+		seqDiff := sliceBoth(func(prog *isa.Program, tr *tracer.Trace, pb *pinball.Pinball) querier {
 			s, err := slice.New(prog, tr, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return s
 		})
-		parDiff := sliceBoth(func(prog *isa.Program, tr *tracer.Trace, pb *pinball.Pinball) slice.Querier {
+		parDiff := sliceBoth(func(prog *isa.Program, tr *tracer.Trace, pb *pinball.Pinball) querier {
 			s, err := slice.NewParallel(prog, tr, opts, slice.ParallelOptions{Workers: 4, WindowSize: pinplay.WindowSize(pb)})
 			if err != nil {
 				t.Fatal(err)

@@ -15,13 +15,6 @@ import (
 	"repro/internal/tracer"
 )
 
-// Querier is the slice-computation interface shared by the sequential
-// Slicer and the parallel engine, so sessions and tools can switch
-// implementations without caring which one answers.
-type Querier interface {
-	Slice(crit tracer.Ref) (*Slice, error)
-}
-
 // ParallelOptions configures the parallel engine's build phase.
 type ParallelOptions struct {
 	// Workers bounds the worker pool used for the forward pass and the
@@ -87,11 +80,6 @@ type ParallelSlicer struct {
 	// pairs and cfgRefinements are the forward pass's counters.
 	pairs          int64
 	cfgRefinements int64
-
-	// idx is the per-location definition index, built on first use by
-	// defIndex: only a resumed SliceShard query needs it.
-	idxOnce sync.Once
-	idx     *tracer.DefIndex
 
 	// Query scratches are pooled on an engine-owned free list rather
 	// than a sync.Pool: the arrays are tens of megabytes and rebuilding
@@ -317,16 +305,6 @@ func (s *ParallelSlicer) Stats() EngineStats {
 		Queries:    s.queries.Load(),
 		IndexSteps: s.indexSteps.Load(),
 	}
-}
-
-// defIndex returns the per-location definition index, building it on
-// first use. Monolithic queries never need it; a resumed shard query
-// does, to find each live demand's last definition below its bound.
-func (s *ParallelSlicer) defIndex() *tracer.DefIndex {
-	s.idxOnce.Do(func() {
-		s.idx = tracer.BuildDefIndex(s.Trace, tracer.SplitWindows(len(s.Trace.Global), s.windowSize), s.workers)
-	})
-	return s.idx
 }
 
 // buildCancelled reports a (possibly nil) build context's cancellation

@@ -1,6 +1,7 @@
 package slice
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -18,26 +19,39 @@ import (
 //
 // Why this is sound: when the sweep has handled every candidate at
 // positions >= B, its live state is exactly (a) the wanted set — each
-// demanded location with its demanding member, (b) the pending
-// control-parent positions < B, and (c) the members so far. A wanted
-// location l's unprocessed heap candidate is always NearestDefBefore(l,
-// B): the candidate is the nearest definition before l's demand
-// position, and any definition in [B, demandPos) would itself have been
-// the candidate and been processed already. Pending event bits are by
-// construction the event candidates not yet popped, all < B. So the
-// heap can be rebuilt from (wanted, events, B) alone, stale candidates
-// and all — re-running a shard from the same state is idempotent, which
+// demanded location with its demanding member and its pending heap
+// candidate, (b) the pending control-parent positions < B, and (c) the
+// members so far. The state carries all three verbatim: a wanted
+// location's candidate is read off the heap at capture and pushed back
+// on resume, and pending event bits are by construction the event
+// candidates not yet popped, all < B. Candidates whose location was
+// killed are stale and dropped at capture, exactly as a pop would drop
+// them. A live location never has two heap entries (a kill pops its
+// candidate first, so a re-demand starts afresh), and its candidate is
+// the last definition of the location below B: any definition in
+// [B, demandPos) would itself have been the candidate and been
+// processed already. The shard tests assert both against a linear scan
+// of the trace, including states resumed after a save/restore bypass.
+// Re-running a shard from the same state is therefore idempotent, which
 // is what makes hedged and re-dispatched shard requests safe.
 
 // queryStateVersion guards the wire form of QueryState.
-const queryStateVersion = 1
+const queryStateVersion = 2
 
-// WantedLoc is one live demand of a suspended query: the location and
-// the slice member that demanded it.
+// ErrBadState reports a wire QueryState this engine could not have
+// produced: a wrong version, a criterion or position outside the
+// trace, or a candidate at or above the bound. It is the sender's
+// fault, so retrying cannot help.
+var ErrBadState = errors.New("slice: malformed query state")
+
+// WantedLoc is one live demand of a suspended query: the location, the
+// slice member that demanded it, and Def, the global position of its
+// pending definition candidate (-1 when no definition precedes it).
 type WantedLoc struct {
 	Loc int64 `json:"l"`
 	Tid int32 `json:"t"`
 	Pos int32 `json:"p"`
+	Def int32 `json:"d"`
 }
 
 // QueryState is the serialisable continuation of a backward slice query
@@ -117,6 +131,9 @@ func (s *ParallelSlicer) SliceShard(crit tracer.Ref, st *QueryState, lo int) (*Q
 			lo = q.startPos
 		}
 	} else {
+		if err := s.checkState(st); err != nil {
+			return nil, err
+		}
 		if st.Done {
 			return st, nil
 		}
@@ -136,24 +153,57 @@ func (s *ParallelSlicer) SliceShard(crit tracer.Ref, st *QueryState, lo int) (*Q
 	return q.captureState(lo), nil
 }
 
-// resumeQuery reconstructs a suspended query from its wire state. See
-// the file comment for why NearestDefBefore(l, Bound) recovers every
-// live candidate.
-func (s *ParallelSlicer) resumeQuery(st *QueryState) (*query, error) {
-	if st.V != queryStateVersion {
-		return nil, fmt.Errorf("slice: query state version %d, want %d", st.V, queryStateVersion)
+// checkState rejects, with ErrBadState, a wire state that would index
+// outside this engine's trace: every position it carries is checked
+// before any of it touches a bitset.
+func (s *ParallelSlicer) checkState(st *QueryState) error {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("%w: %s", ErrBadState, fmt.Sprintf(format, args...))
 	}
+	if st.V != queryStateVersion {
+		return bad("version %d, want %d", st.V, queryStateVersion)
+	}
+	start, err := s.StartBound(st.Crit)
+	if err != nil {
+		return bad("%v", err)
+	}
+	if st.Bound < 0 || st.Bound > start {
+		return bad("bound %d outside [0, %d]", st.Bound, start)
+	}
+	for _, w := range st.Wanted {
+		if w.Def < -1 || int(w.Def) >= st.Bound {
+			return bad("candidate %d of location %d outside [-1, %d)", w.Def, w.Loc, st.Bound)
+		}
+		if _, ok := s.Trace.GlobalPosOf(tracer.Ref{Tid: w.Tid, Pos: w.Pos}); !ok {
+			return bad("requester {%d %d} of location %d outside trace", w.Tid, w.Pos, w.Loc)
+		}
+	}
+	for _, p := range st.Events {
+		if p < 0 || int(p) >= st.Bound {
+			return bad("event %d outside [0, %d)", p, st.Bound)
+		}
+	}
+	for _, m := range st.Members {
+		if m < 0 || int(m) >= len(s.Trace.Global) {
+			return bad("member %d outside trace", m)
+		}
+	}
+	return nil
+}
+
+// resumeQuery reconstructs a suspended query from its checked wire
+// state, pushing every carried candidate back on the heap.
+func (s *ParallelSlicer) resumeQuery(st *QueryState) (*query, error) {
 	q, err := s.newQuery(st.Crit)
 	if err != nil {
 		return nil, err
 	}
 	q.depHash, q.depCount, q.pruned = st.DepHash, st.DepCount, st.Pruned
-	idx := s.defIndex()
 	for _, w := range st.Wanted {
 		l := tracer.Loc(w.Loc)
 		q.sc.ws.add(l, tracer.Ref{Tid: w.Tid, Pos: w.Pos})
-		if p, ok := idx.NearestDefBefore(l, st.Bound); ok {
-			q.sc.h.push(demandCand{pos: int32(p), loc: l})
+		if w.Def >= 0 {
+			q.sc.h.push(demandCand{pos: w.Def, loc: l})
 		}
 	}
 	for _, p := range st.Events {
@@ -198,11 +248,26 @@ func (q *query) captureState(bound int) *QueryState {
 		return st
 	}
 	ws := &q.sc.ws
+	// Each live location's pending candidate, read off the heap (one per
+	// location, see the file comment); stale candidates (killed
+	// locations) are dropped.
+	defs := make(map[tracer.Loc]int32, len(q.sc.h))
+	for _, c := range q.sc.h {
+		if !c.event && ws.has(c.loc) {
+			defs[c.loc] = c.pos
+		}
+	}
+	wantedLoc := func(l tracer.Loc, r tracer.Ref) WantedLoc {
+		def, ok := defs[l]
+		if !ok {
+			def = -1
+		}
+		return WantedLoc{Loc: int64(l), Tid: r.Tid, Pos: r.Pos, Def: def}
+	}
 	for w, word := range ws.bits {
 		for word != 0 {
 			i := w<<6 + bits.TrailingZeros64(word)
-			r := ws.ref[i]
-			st.Wanted = append(st.Wanted, WantedLoc{Loc: int64(ws.space.LocAt(i)), Tid: r.Tid, Pos: r.Pos})
+			st.Wanted = append(st.Wanted, wantedLoc(ws.space.LocAt(i), ws.ref[i]))
 			word &= word - 1
 		}
 	}
@@ -213,8 +278,7 @@ func (q *query) captureState(bound int) *QueryState {
 		}
 		sort.Slice(locs, func(i, j int) bool { return locs[i] < locs[j] })
 		for _, l := range locs {
-			r := ws.over[l]
-			st.Wanted = append(st.Wanted, WantedLoc{Loc: int64(l), Tid: r.Tid, Pos: r.Pos})
+			st.Wanted = append(st.Wanted, wantedLoc(l, ws.over[l]))
 		}
 	}
 	for w, word := range q.sc.events {

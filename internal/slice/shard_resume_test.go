@@ -1,0 +1,219 @@
+package slice
+
+import (
+	"encoding/json"
+	"errors"
+	"sort"
+	"testing"
+
+	"repro/internal/pinplay"
+	"repro/internal/tracer"
+	"repro/internal/workloads"
+)
+
+// workloadEngine records a registry workload whole and builds a column
+// engine over it with the given window size.
+func workloadEngine(t *testing.T, name string, window int) *ParallelSlicer {
+	t.Helper()
+	w, err := workloads.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := w.Program()
+	if err != nil {
+		t.Fatalf("%s: compile: %v", name, err)
+	}
+	pb, err := pinplay.Log(prog, pinplay.LogConfig{
+		Seed: 1, MeanQuantum: 50, RandSeed: 1,
+		Input:    w.Input(w.DefaultThreads, 12),
+		MaxSteps: 50_000_000,
+	}, pinplay.RegionSpec{})
+	if err != nil {
+		t.Fatalf("%s: record: %v", name, err)
+	}
+	eng, err := NewParallel(prog, replayTrace(t, prog, pb), DefaultOptions(), ParallelOptions{Workers: 2, WindowSize: window})
+	if err != nil {
+		t.Fatalf("%s: build: %v", name, err)
+	}
+	return eng
+}
+
+// wireState serialises and reparses a query state, as a shard hop does.
+func wireState(t *testing.T, st *QueryState) *QueryState {
+	t.Helper()
+	b, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := &QueryState{}
+	if err := json.Unmarshal(b, out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// liveDuplicate runs one shard hop the way SliceShard does and reports
+// a live location with two pending heap candidates at the suspension,
+// which a state carrying one candidate per location could not hold.
+func liveDuplicate(eng *ParallelSlicer, crit tracer.Ref, st *QueryState, lo int) (tracer.Loc, bool) {
+	var q *query
+	if st == nil {
+		q, _ = eng.newQuery(crit)
+		q.include(q.startPos, crit, nil)
+	} else {
+		q, _ = eng.resumeQuery(st)
+	}
+	defer q.release()
+	q.runTo(lo)
+	seen := make(map[tracer.Loc]bool)
+	for _, c := range q.sc.h {
+		if !c.event && q.sc.ws.has(c.loc) {
+			if seen[c.loc] {
+				return c.loc, true
+			}
+			seen[c.loc] = true
+		}
+	}
+	return 0, false
+}
+
+// TestShardResumeAfterBypass chains one-window shard hops over
+// call-heavy registry workloads, where save/restore bypasses forward
+// demands from a register to a stack slot and back, and checks every
+// resumed state: each carried candidate is the last definition of its
+// location below the bound, by a linear scan of the trace, and each
+// chain's summary equals the monolithic one. No live location may have
+// two heap candidates at a suspension, and at least one resumed state
+// must follow a bypass.
+func TestShardResumeAfterBypass(t *testing.T) {
+	afterBypass := 0
+	for _, name := range []string{"x264", "swaptions", "mozilla", "ammp"} {
+		eng := workloadEngine(t, name, 16)
+		tr := eng.Trace
+		var resumed []*QueryState
+		for _, crit := range LastReadsInRegion(tr, 4) {
+			mono, err := eng.Slice(crit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bound, err := eng.StartBound(crit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st *QueryState
+			for {
+				lo := eng.NextShardLo(bound, 1)
+				if l, dup := liveDuplicate(eng, crit, st, lo); dup {
+					t.Fatalf("%s crit %+v: location %d has two live candidates at bound %d", name, crit, l, lo)
+				}
+				next, err := eng.SliceShard(crit, st, lo)
+				if err != nil {
+					t.Fatalf("%s crit %+v: resume at bound %d: %v", name, crit, bound, err)
+				}
+				if st = wireState(t, next); st.Done {
+					break
+				}
+				resumed = append(resumed, st)
+				bound = st.Bound
+			}
+			got, err := eng.SummarizeState(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := Summarize(mono); got != want {
+				t.Fatalf("%s crit %+v: sharded %+v, monolithic %+v", name, crit, got, want)
+			}
+		}
+		// Ascending bounds let one forward walk answer every state.
+		sort.SliceStable(resumed, func(i, j int) bool { return resumed[i].Bound < resumed[j].Bound })
+		scan := newDefScan(tr)
+		for _, st := range resumed {
+			if st.Pruned > 0 {
+				afterBypass++
+			}
+			for _, w := range st.Wanted {
+				if want := scan.before(tracer.Loc(w.Loc), st.Bound); w.Def != want {
+					t.Fatalf("%s: state at bound %d (%d bypasses) carries candidate %d for location %d, last definition below the bound is %d",
+						name, st.Bound, st.Pruned, w.Def, w.Loc, want)
+				}
+			}
+		}
+	}
+	if afterBypass == 0 {
+		t.Fatal("no resumed state followed a save/restore bypass")
+	}
+}
+
+// TestShardRejectsMalformedState feeds SliceShard wire states that this
+// engine could not have produced. Each must be rejected with
+// ErrBadState before any position touches a bitset, not panic.
+func TestShardRejectsMalformedState(t *testing.T) {
+	eng := workloadEngine(t, "swaptions", 16)
+	// A suspended state with a live demand and a pending control parent.
+	var base *QueryState
+	var crit tracer.Ref
+	var start int
+	for _, c := range LastReadsInRegion(eng.Trace, 8) {
+		var err error
+		if start, err = eng.StartBound(c); err != nil {
+			t.Fatal(err)
+		}
+		for st, bound := (*QueryState)(nil), start; base == nil; {
+			next, err := eng.SliceShard(c, st, eng.NextShardLo(bound, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if next.Done {
+				break
+			}
+			if len(next.Wanted) > 0 && len(next.Events) > 0 {
+				base, crit = next, c
+			}
+			st, bound = next, next.Bound
+		}
+		if base != nil {
+			break
+		}
+	}
+	if base == nil {
+		t.Fatal("no query suspended with both demands and events")
+	}
+
+	cases := []struct {
+		name    string
+		mutate  func(st *QueryState)
+		wantErr error
+	}{
+		{"as captured", func(*QueryState) {}, nil},
+		{"version 1", func(st *QueryState) { st.V = 1 }, ErrBadState},
+		{"criterion outside trace", func(st *QueryState) { st.Crit = tracer.Ref{Tid: 1 << 20} }, ErrBadState},
+		{"bound past criterion", func(st *QueryState) { st.Bound = start + 1 }, ErrBadState},
+		{"negative bound", func(st *QueryState) { st.Bound = -1 }, ErrBadState},
+		{"event far past trace", func(st *QueryState) { st.Events = append(st.Events, 1<<30) }, ErrBadState},
+		{"negative event", func(st *QueryState) { st.Events = append(st.Events, -5) }, ErrBadState},
+		{"event at bound", func(st *QueryState) { st.Events = append(st.Events, int32(st.Bound)) }, ErrBadState},
+		{"member far past trace", func(st *QueryState) { st.Members = append(st.Members, 1<<30) }, ErrBadState},
+		{"negative member", func(st *QueryState) { st.Members = append(st.Members, -5) }, ErrBadState},
+		{"candidate at bound", func(st *QueryState) { st.Wanted[0].Def = int32(st.Bound) }, ErrBadState},
+		{"candidate below -1", func(st *QueryState) { st.Wanted[0].Def = -5 }, ErrBadState},
+		{"requester thread outside trace", func(st *QueryState) { st.Wanted[0].Tid = 1 << 20 }, ErrBadState},
+		{"requester position outside trace", func(st *QueryState) { st.Wanted[0].Pos = -5 }, ErrBadState},
+		{"done with member far past trace", func(st *QueryState) {
+			st.Done, st.Bound, st.Wanted, st.Events = true, 0, nil, nil
+			st.Members = append(st.Members, 1<<30)
+		}, ErrBadState},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := wireState(t, base)
+			tc.mutate(st)
+			_, err := eng.SliceShard(crit, st, 0)
+			if tc.wantErr == nil && err != nil {
+				t.Fatalf("rejected: %v", err)
+			}
+			if tc.wantErr != nil && !errors.Is(err, tc.wantErr) {
+				t.Fatalf("got %v, want %v", err, tc.wantErr)
+			}
+		})
+	}
+}

@@ -210,8 +210,8 @@ func TestShardCrossEngineResume(t *testing.T) {
 
 // TestShardConcurrentResume resumes suspended queries from several
 // goroutines at once on an engine that has not resumed any query yet,
-// so they race to the lazily built definition index; every query must
-// still finish with the monolithic result.
+// so they race for its pooled query scratches; every query must still
+// finish with the monolithic result.
 func TestShardConcurrentResume(t *testing.T) {
 	prog, _, tr := fuzzProgram(t, 4)
 	opts := optionsForSeed(4)

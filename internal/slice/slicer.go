@@ -119,9 +119,12 @@ func (s *Slice) Contains(r tracer.Ref) bool {
 // Slicer computes backward dynamic slices over one collected trace. The
 // forward analysis (CFG refinement, control-dependence parents,
 // save/restore verification) runs once in New; each Slice call is then a
-// backward traversal, so computing many slices over one region amortises
-// the preprocessing — which is how DrDebug keeps interactive slicing
-// practical.
+// backward traversal with LP block skipping, the paper's algorithm.
+//
+// Sessions answer from the column engine (ParallelSlicer); Slicer is the
+// reference oracle it is checked against. Its callers build it straight
+// from a trace: the differential and golden tests, matrix closure checks
+// (CheckClosure) and the paper-figure timings.
 type Slicer struct {
 	Prog  *isa.Program
 	Trace *tracer.Trace
