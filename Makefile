@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race verify bench bench-smoke chaos soak fleet-soak bench-durability ring-chaos bench-ring matrix-smoke store-chaos pipebench-test
+.PHONY: all build vet fmt-check test race verify bench bench-smoke chaos soak fleet-soak bench-durability ring-chaos bench-ring matrix-smoke store-chaos pipebench-test fuzz
 
 all: verify
 
@@ -55,6 +55,16 @@ chaos:
 SOAK_REQS ?= 12
 soak:
 	DRDEBUG_SOAK_REQS=$(SOAK_REQS) $(GO) test -race -count=1 -run TestChaosSoak -v ./internal/sessiond/
+
+# Native fuzzing of the pinball decoders, FUZZTIME per target: Decode
+# must fail with a typed error or round-trip its pinball's digest, and
+# Salvage must fail typed or return a pinball that passes Validate. The
+# seed corpus is every pinball kind's Save encoding, the version 2
+# fixtures and every file corruptor's output.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/pinball/
+	$(GO) test -run '^$$' -fuzz '^FuzzSalvage$$' -fuzztime $(FUZZTIME) ./internal/pinball/
 
 # Multi-process fleet chaos soak: a real drserved coordinator fronting
 # three real drserved workers, 100 concurrent clients, one worker

@@ -30,7 +30,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "scheduling seed")
 		workers  = flag.Int("workers", 0, "parallel slicing workers for slicebench (0 = GOMAXPROCS)")
 		jsonPath = flag.String("json", "",
-			"where slicebench/durbench write their JSON report (default BENCH_slice.json / BENCH_durability.json)")
+			"where slicebench/ringbench/durbench write their JSON report (default BENCH_slice.json / BENCH_ring.json / BENCH_durability.json)")
 	)
 	flag.Parse()
 
@@ -58,6 +58,25 @@ func run(experiment string, cfg bench.Config, workers int, jsonPath string) erro
 	wrap := func(f func(bench.Config) (any, error)) func(bench.Config) error {
 		return func(c bench.Config) error { _, err := f(c); return err }
 	}
+	// report runs a benchmark and writes its JSON report to -json, or to
+	// def when -json is unset.
+	report := func(def string, f func(bench.Config) (any, error)) func(bench.Config) error {
+		return func(c bench.Config) error {
+			r, err := f(c)
+			if err != nil {
+				return err
+			}
+			path := jsonPath
+			if path == "" {
+				path = def
+			}
+			if err := bench.WriteJSON(r, path); err != nil {
+				return err
+			}
+			fmt.Printf("JSON report written to %s\n", path)
+			return nil
+		}
+	}
 	experiments := []exp{
 		{"table1", wrap(func(c bench.Config) (any, error) { return bench.Table1(c) })},
 		{"table2", wrap(func(c bench.Config) (any, error) { return bench.Table2(c) })},
@@ -67,51 +86,9 @@ func run(experiment string, cfg bench.Config, workers int, jsonPath string) erro
 		{"fig13", wrap(func(c bench.Config) (any, error) { return bench.Figure13(c) })},
 		{"fig14", wrap(func(c bench.Config) (any, error) { return bench.Figure14(c) })},
 		{"slicing", wrap(func(c bench.Config) (any, error) { return bench.SlicingOverhead(c) })},
-		{"slicebench", func(c bench.Config) error {
-			report, err := bench.SliceBench(c, workers)
-			if err != nil {
-				return err
-			}
-			path := jsonPath
-			if path == "" {
-				path = "BENCH_slice.json"
-			}
-			if err := bench.WriteSliceBenchJSON(report, path); err != nil {
-				return err
-			}
-			fmt.Printf("JSON report written to %s\n", path)
-			return nil
-		}},
-		{"ringbench", func(c bench.Config) error {
-			report, err := bench.RingBench(c)
-			if err != nil {
-				return err
-			}
-			path := jsonPath
-			if path == "" {
-				path = "BENCH_ring.json"
-			}
-			if err := bench.WriteRingBenchJSON(report, path); err != nil {
-				return err
-			}
-			fmt.Printf("JSON report written to %s\n", path)
-			return nil
-		}},
-		{"durbench", func(c bench.Config) error {
-			report, err := bench.DurBench(c)
-			if err != nil {
-				return err
-			}
-			path := jsonPath
-			if path == "" {
-				path = "BENCH_durability.json"
-			}
-			if err := bench.WriteDurBenchJSON(report, path); err != nil {
-				return err
-			}
-			fmt.Printf("JSON report written to %s\n", path)
-			return nil
-		}},
+		{"slicebench", report("BENCH_slice.json", func(c bench.Config) (any, error) { return bench.SliceBench(c, workers) })},
+		{"ringbench", report("BENCH_ring.json", func(c bench.Config) (any, error) { return bench.RingBench(c) })},
+		{"durbench", report("BENCH_durability.json", func(c bench.Config) (any, error) { return bench.DurBench(c) })},
 		{"ablation", wrap(func(c bench.Config) (any, error) { return bench.Ablation(c) })},
 	}
 	ran := false

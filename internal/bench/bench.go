@@ -19,8 +19,10 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"time"
 
 	"repro/internal/core"
@@ -155,4 +157,14 @@ var bugSizes = map[string]int64{
 	"pbzip2":  400,
 	"aget":    250,
 	"mozilla": 250,
+}
+
+// WriteJSON writes a benchmark report (slicebench, ringbench, durbench)
+// to path as indented JSON.
+func WriteJSON(report any, path string) error {
+	data, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"time"
@@ -201,13 +200,4 @@ func DurBench(cfg Config) (*DurBenchReport, error) {
 			row.SavePlainSec, row.SaveAtomicSec, row.AtomicOverheadPct, row.JournalIdentical)
 	}
 	return report, nil
-}
-
-// WriteDurBenchJSON writes the report to path.
-func WriteDurBenchJSON(report *DurBenchReport, path string) error {
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"repro/internal/pinplay"
 	"repro/internal/workloads"
@@ -173,13 +171,4 @@ func RingBench(cfg Config) (*RingBenchReport, error) {
 		}
 	}
 	return report, nil
-}
-
-// WriteRingBenchJSON writes the report to path.
-func WriteRingBenchJSON(report *RingBenchReport, path string) error {
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

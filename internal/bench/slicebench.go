@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"os"
 	"runtime"
 	"time"
 
@@ -239,13 +237,3 @@ func SliceBench(cfg Config, workers int) (*SliceBenchReport, error) {
 
 // cfg2Stats snapshots the shared CFG cache counters.
 func cfg2Stats() cfg.CacheStats { return cfg.GraphCacheStats() }
-
-// WriteSliceBenchJSON writes the report to path (BENCH_slice.json by
-// convention) in indented JSON.
-func WriteSliceBenchJSON(report *SliceBenchReport, path string) error {
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}

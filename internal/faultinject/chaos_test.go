@@ -153,6 +153,61 @@ func TestJournalCrashPoints(t *testing.T) {
 	t.Logf("journal: %d crash points, %d salvaged, %d refused typed", len(pts), salvaged, unsalvageable)
 }
 
+// TestCommittedJournalDroppedFrameDetected drops the first frame of each
+// id from a committed multi-flush recording journal, and from the Save
+// encoding of the same recording: the commit frame's manifest must
+// expose every loss as ErrCorrupt (dropping the commit frame itself
+// leaves an interrupted recording, ErrTruncated).
+func TestCommittedJournalDroppedFrameDetected(t *testing.T) {
+	prog := compileT(t)
+	cfg := logConfig()
+	cfg.JournalPath = filepath.Join(t.TempDir(), "rec.journal")
+	cfg.JournalEvery = 512
+	cfg.JournalNoSync = true
+	pb, err := pinplay.Log(prog, cfg, regionSpec())
+	if err != nil {
+		t.Fatalf("log: %v", err)
+	}
+	journal, err := os.ReadFile(cfg.JournalPath)
+	if err != nil {
+		t.Fatalf("read journal: %v", err)
+	}
+	saved, err := pb.EncodeBytes()
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	for name, data := range map[string][]byte{"journal": journal, "save": saved} {
+		firsts := map[byte]pinball.SectionInfo{}
+		chunks := 0
+		for _, s := range sections(data) {
+			if _, ok := firsts[s.ID]; !ok {
+				firsts[s.ID] = s
+			}
+			if s.ID == 8 {
+				chunks++
+			}
+		}
+		if name == "journal" && chunks < 2 {
+			t.Fatalf("journal has %d schedule chunks, want a multi-flush recording", chunks)
+		}
+		for _, id := range []byte{1, 2, 8, 9, 10, 11, 12} {
+			s, ok := firsts[id]
+			if !ok {
+				t.Errorf("%s: no frame with id %d", name, id)
+				continue
+			}
+			dropped := append(clone(data[:s.Off]), data[s.Off+s.Len:]...)
+			want := pinball.ErrCorrupt
+			if id == 12 {
+				want = pinball.ErrTruncated
+			}
+			if _, err := pinball.Decode(dropped); !errors.Is(err, want) {
+				t.Errorf("%s: dropped first frame with id %d: err = %v, want %v", name, id, err, want)
+			}
+		}
+	}
+}
+
 // TestMidRecordAbortSalvages simulates the recording process dying just
 // before the commit frame lands — the canonical mid-record crash — and
 // checks the strict loader refuses with guidance while Salvage recovers

@@ -25,8 +25,8 @@ import (
 	"repro/internal/vm"
 )
 
-// FileCorruptor deterministically corrupts the encoded (framed) bytes of
-// a pinball file.
+// FileCorruptor deterministically corrupts the encoded bytes of a
+// pinball file (the version 3 framing Save writes).
 type FileCorruptor struct {
 	Name string
 	// Want is the typed pinball error Decode must return for the
@@ -37,8 +37,8 @@ type FileCorruptor struct {
 	Apply func(data []byte) (out []byte, ok bool)
 }
 
-// headerLen is the framed header: magic + version + kind + section count.
-const headerLen = 4 + 1 + 1 + 1
+// headerLen is the file header: magic + version + kind.
+const headerLen = 4 + 1 + 1
 
 // sectionHeaderLen mirrors the framing: id (1B) + length (8B) + CRC (4B).
 const sectionHeaderLen = 1 + 8 + 4
@@ -48,7 +48,7 @@ func clone(data []byte) []byte {
 	return append([]byte(nil), data...)
 }
 
-// sections parses the section table, returning nil when the bytes are
+// sections parses the frame table, returning nil when the bytes are
 // not a well-formed framed pinball (corruptors needing the table then
 // report not-applicable).
 func sections(data []byte) []pinball.SectionInfo {
@@ -69,11 +69,12 @@ func findSection(data []byte, id byte) (pinball.SectionInfo, bool) {
 	return pinball.SectionInfo{}, false
 }
 
-// FileCorruptors returns the full byte-level corruptor suite. Section id
-// 3 (the schedule) is used where a specific section is needed: it is
-// mandatory, so the corruptors apply to every pinball kind.
+// FileCorruptors returns the full byte-level corruptor suite. Frame id
+// 8 (the schedule chunk) is used where a specific frame is needed: every
+// recorded region has a schedule, so the corruptors apply to every
+// pinball kind.
 func FileCorruptors() []FileCorruptor {
-	const secSchedule = byte(3)
+	const secSchedule = byte(8)
 	return []FileCorruptor{
 		{
 			Name: "flip-magic",
@@ -157,7 +158,6 @@ func FileCorruptors() []FileCorruptor {
 				out := make([]byte, 0, int64(len(data))-s.Len)
 				out = append(out, data[:s.Off]...)
 				out = append(out, data[s.Off+s.Len:]...)
-				out[6]-- // section count
 				return out, true
 			},
 		},

@@ -62,9 +62,6 @@ type Config struct {
 	// negative disables shedding).
 	MaxInflight int
 
-	// Breaker tunes the per-worker transport circuit breaker.
-	Breaker BreakerConfig
-
 	// DrainTimeout bounds Shutdown's graceful phase (default 10s).
 	DrainTimeout time.Duration
 
@@ -148,7 +145,7 @@ func (c Config) withDefaults() Config {
 type Coordinator struct {
 	cfg   Config
 	reg   *Registry
-	wbrk  *workerBreaker
+	wbrk  *sessiond.Breaker // keyed by worker name, transport failures only
 	queue *stealQueue
 	start time.Time
 
@@ -184,7 +181,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 	return &Coordinator{
 		cfg:   cfg,
 		reg:   NewRegistry(timeout, cfg.Now),
-		wbrk:  newWorkerBreaker(cfg.Breaker, cfg.Now),
+		wbrk:  sessiond.NewBreaker(sessiond.BreakerConfig{K: workerBreakerK, Cooldown: workerBreakerCooldown}, cfg.Now),
 		queue: newStealQueue(),
 		start: time.Now(),
 		tasks: make(map[string]*task),
@@ -381,7 +378,7 @@ func (co *Coordinator) fleetOp(req *sessiond.Request) sessiond.Response {
 				Error: "register needs fleet_worker and fleet_addr"}
 		}
 		co.reg.Register(WorkerInfo{Name: req.Worker, Addr: req.Addr, Capacity: req.Capacity, Load: req.Load})
-		co.wbrk.success(req.Worker) // a fresh registration resets its transport history
+		co.wbrk.Success(req.Worker) // a fresh registration resets its transport history
 		co.cfg.Logf("fleet: worker %s registered at %s (capacity %d)", req.Worker, req.Addr, req.Capacity)
 		return sessiond.Response{ID: req.ID, OK: true, Result: encode(sessiond.RegisterResult{
 			Worker:      req.Worker,
@@ -488,11 +485,29 @@ func (co *Coordinator) forward(req *sessiond.Request, key string) sessiond.Respo
 	return sessiond.Response{ID: req.ID, OK: false, Code: sessiond.CodeNoWorkers, Error: msg}
 }
 
+// The per-worker transport circuit breaker: workerBreakerK consecutive
+// transport failures (dial refused, connection severed, I/O deadline)
+// take a worker out of routing for workerBreakerCooldown. A typed
+// session failure is the pinball's fault, not the worker's, and is never
+// charged here: one corrupt pinball must not take a healthy worker out
+// of routing for everyone.
+const (
+	workerBreakerK        = 3
+	workerBreakerCooldown = 5 * time.Second
+)
+
+// circuitOpen reports whether the worker's circuit is open (the router
+// must skip it).
+func (co *Coordinator) circuitOpen(name string) bool {
+	open, _, _ := co.wbrk.Check(name)
+	return open
+}
+
 // pick routes key to its best live worker, skipping already-tried
 // workers and open circuits.
 func (co *Coordinator) pick(key string, tried map[string]bool) (WorkerInfo, bool) {
 	return co.reg.Route(key, func(name string) bool {
-		return tried[name] || co.wbrk.open(name)
+		return tried[name] || co.circuitOpen(name)
 	})
 }
 
@@ -506,7 +521,7 @@ func (co *Coordinator) pick(key string, tried map[string]bool) (WorkerInfo, bool
 func (co *Coordinator) send(w WorkerInfo, req *sessiond.Request, t *task) (*sessiond.Response, error) {
 	c, err := co.cfg.Dial(w.Addr, co.cfg.DialTimeout)
 	if err != nil {
-		co.wbrk.failure(w.Name)
+		co.wbrk.Failure(w.Name, "", "")
 		return nil, err
 	}
 	co.trackLink(w.Name, c)
@@ -521,11 +536,11 @@ func (co *Coordinator) send(w WorkerInfo, req *sessiond.Request, t *task) (*sess
 	resp, err := c.Do(req)
 	if err != nil {
 		if t == nil || !t.done.Load() {
-			co.wbrk.failure(w.Name)
+			co.wbrk.Failure(w.Name, "", "")
 		}
 		return nil, err
 	}
-	co.wbrk.success(w.Name)
+	co.wbrk.Success(w.Name)
 	return resp, nil
 }
 
@@ -728,7 +743,7 @@ func (co *Coordinator) stats(req *sessiond.Request) sessiond.Response {
 		Failed:       co.failed.Load(),
 		Active:       len(co.reg.Alive()),
 		Queued:       co.queue.depth(),
-		BreakersOpen: co.wbrk.openCount(),
+		BreakersOpen: co.wbrk.OpenCount(),
 	})}
 }
 

@@ -189,25 +189,26 @@ func TestRegistryLivenessInjectedClock(t *testing.T) {
 
 func TestWorkerBreakerTransportOnly(t *testing.T) {
 	clk := newFakeClock()
-	b := newWorkerBreaker(BreakerConfig{K: 2, Cooldown: time.Second}, clk.Now)
-	b.failure("w")
-	if b.open("w") {
+	b := sessiond.NewBreaker(sessiond.BreakerConfig{K: 2, Cooldown: time.Second}, clk.Now)
+	open := func() bool { o, _, _ := b.Check("w"); return o }
+	b.Failure("w", "", "")
+	if open() {
 		t.Fatal("opened below threshold")
 	}
-	b.failure("w")
-	if !b.open("w") || b.openCount() != 1 {
+	b.Failure("w", "", "")
+	if !open() || b.OpenCount() != 1 {
 		t.Fatal("did not open at threshold")
 	}
 	clk.Advance(1100 * time.Millisecond)
-	if b.open("w") {
+	if open() {
 		t.Fatal("cooldown did not expire")
 	}
-	b.failure("w") // failed trial re-opens immediately
-	if !b.open("w") {
+	b.Failure("w", "", "") // failed trial re-opens immediately
+	if !open() {
 		t.Fatal("failed trial did not re-open")
 	}
-	b.success("w")
-	if b.open("w") {
+	b.Success("w")
+	if open() {
 		t.Fatal("success did not close the circuit")
 	}
 }
@@ -222,7 +223,7 @@ func TestLostHedgesKeepCircuitClosed(t *testing.T) {
 		held <- struct{}{}
 		return nil // hold the request until the winner cancels it
 	})
-	co := NewCoordinator(Config{Breaker: BreakerConfig{K: 3}})
+	co := NewCoordinator(Config{})
 	w := WorkerInfo{Name: "w1", Addr: addr}
 	for i := 0; i < 3; i++ {
 		tk := newTask(fmt.Sprint(i), &sessiond.Request{Op: sessiond.OpSliceShard})
@@ -237,7 +238,7 @@ func TestLostHedgesKeepCircuitClosed(t *testing.T) {
 			t.Fatalf("hedge %d: the torn-down attempt reported no error", i)
 		}
 	}
-	if co.wbrk.open(w.Name) {
+	if co.circuitOpen(w.Name) {
 		t.Fatal("three lost hedges opened a healthy worker's circuit")
 	}
 }

@@ -23,7 +23,7 @@ func (co *Coordinator) storeOp(req *sessiond.Request) sessiond.Response {
 			return sessiond.Response{ID: req.ID, OK: false, Code: sessiond.CodeBadRequest,
 				Error: "store_locate needs digest"}
 		}
-		workers := co.reg.Ranked("digest:"+req.Digest, func(name string) bool { return co.wbrk.open(name) })
+		workers := co.reg.Ranked("digest:"+req.Digest, co.circuitOpen)
 		addrs := make([]string, 0, len(workers))
 		for _, w := range workers {
 			addrs = append(addrs, w.Addr)
@@ -57,7 +57,7 @@ func (co *Coordinator) storePut(req *sessiond.Request) sessiond.Response {
 			Error: "store_put needs blob"}
 	}
 	digest := store.Digest(req.Blob)
-	ranked := co.reg.Ranked("digest:"+digest, func(name string) bool { return co.wbrk.open(name) })
+	ranked := co.reg.Ranked("digest:"+digest, co.circuitOpen)
 	if len(ranked) == 0 {
 		return sessiond.Response{ID: req.ID, OK: false, Code: sessiond.CodeNoWorkers,
 			Error: "no live worker to store on"}

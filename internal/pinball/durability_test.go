@@ -31,9 +31,6 @@ func TestSaveLeavesNoTempFiles(t *testing.T) {
 	if err := pb.Save(filepath.Join(dir, "a.pinball")); err != nil {
 		t.Fatal(err)
 	}
-	if err := pb.SaveLegacy(filepath.Join(dir, "b.pinball")); err != nil {
-		t.Fatal(err)
-	}
 	for _, name := range readDir(t, dir) {
 		if strings.Contains(name, ".tmp") {
 			t.Errorf("staging file %s left behind", name)
@@ -52,9 +49,6 @@ func TestFailedSaveKeepsExistingFile(t *testing.T) {
 	pb := samplePinball()
 	if err := pb.Save(target); err == nil {
 		t.Fatal("Save over a directory succeeded")
-	}
-	if err := pb.SaveLegacy(target); err == nil {
-		t.Fatal("SaveLegacy over a directory succeeded")
 	}
 	if st, err := os.Stat(target); err != nil || !st.IsDir() {
 		t.Errorf("existing target clobbered: %v %v", st, err)
@@ -235,13 +229,13 @@ func TestSalvageJournalWithoutCheckpointsFails(t *testing.T) {
 	}
 }
 
-// tornAtSection returns the v2 encoding of pb cut right before section
-// id's frame starts.
-func tornAtSection(t *testing.T, pb *pinball.Pinball, id byte) []byte {
+// tornAtSection returns data cut right before the first frame with the
+// given id: v2id in a version 2 file, v3id in a version 3 one.
+func tornAtSection(t *testing.T, data []byte, v2id, v3id byte) []byte {
 	t.Helper()
-	data, err := pb.EncodeBytes()
-	if err != nil {
-		t.Fatal(err)
+	id := v3id
+	if data[4] == 2 {
+		id = v2id
 	}
 	secs, err := pinball.SectionOffsets(data)
 	if err != nil {
@@ -258,48 +252,56 @@ func tornAtSection(t *testing.T, pb *pinball.Pinball, id byte) []byte {
 
 func TestSalvageFramedLostCheckpoints(t *testing.T) {
 	pb := journalPinball()
-	torn := tornAtSection(t, pb, 7) // secCheckpoints is the last section
-	got, rep, err := pinball.SalvageBytes(torn)
-	if err != nil {
-		t.Fatalf("salvage: %v\n%s", err, rep.Summary())
-	}
-	if !rep.Unverified {
-		t.Error("report does not flag the salvaged pinball as unverified")
-	}
-	if got.RegionInstrs != pb.RegionInstrs || len(got.Checkpoints) != 0 {
-		t.Errorf("salvaged region %d checkpoints %d, want full region, no checkpoints",
-			got.RegionInstrs, len(got.Checkpoints))
-	}
-	// The lost checkpoints leave a cadence without checkpoints, which
-	// Validate allows; replay simply cannot window-verify.
-	if err := got.Validate(); err != nil {
-		t.Errorf("salvaged pinball invalid: %v", err)
+	for version, data := range encodings(t, "v2-region.pinball", pb) {
+		t.Run(version, func(t *testing.T) {
+			torn := tornAtSection(t, data, 7, 11) // the checkpoints: the last stream
+			got, rep, err := pinball.SalvageBytes(torn)
+			if err != nil {
+				t.Fatalf("salvage: %v\n%s", err, rep.Summary())
+			}
+			if !rep.Unverified {
+				t.Error("report does not flag the salvaged pinball as unverified")
+			}
+			if got.RegionInstrs != pb.RegionInstrs || len(got.Checkpoints) != 0 {
+				t.Errorf("salvaged region %d checkpoints %d, want full region, no checkpoints",
+					got.RegionInstrs, len(got.Checkpoints))
+			}
+			// The lost checkpoints leave a cadence without checkpoints, which
+			// Validate allows; replay simply cannot window-verify.
+			if err := got.Validate(); err != nil {
+				t.Errorf("salvaged pinball invalid: %v", err)
+			}
+		})
 	}
 }
 
 func TestSalvageFramedLostSyscallsFails(t *testing.T) {
-	pb := journalPinball()
-	torn := tornAtSection(t, pb, 4) // secSyscalls: replay-critical
-	_, rep, err := pinball.SalvageBytes(torn)
-	if !errors.Is(err, pinball.ErrUnsalvageable) {
-		t.Fatalf("lost syscalls: err = %v, want ErrUnsalvageable", err)
-	}
-	if !strings.Contains(err.Error(), "syscall") {
-		t.Errorf("error %q does not name the lost section", err)
-	}
-	if len(rep.LostSections) == 0 {
-		t.Error("report lists no lost sections")
+	for version, data := range encodings(t, "v2-region.pinball", journalPinball()) {
+		t.Run(version, func(t *testing.T) {
+			torn := tornAtSection(t, data, 4, 9) // the syscalls: replay-critical
+			_, rep, err := pinball.SalvageBytes(torn)
+			if !errors.Is(err, pinball.ErrUnsalvageable) {
+				t.Fatalf("lost syscalls: err = %v, want ErrUnsalvageable", err)
+			}
+			if !strings.Contains(err.Error(), "syscall") {
+				t.Errorf("error %q does not name the lost section", err)
+			}
+			if len(rep.LostSections) == 0 {
+				t.Error("report lists no lost sections")
+			}
+		})
 	}
 }
 
 func TestSalvageSlicePinballLostSliceSectionFails(t *testing.T) {
-	pb := samplePinball()
-	pb.Kind = pinball.KindSlice
-	pb.Syscalls, pb.OrderEdges = nil, nil // make secSlice the tear point
-	torn := tornAtSection(t, pb, 6)       // secSlice
-	_, _, err := pinball.SalvageBytes(torn)
-	if !errors.Is(err, pinball.ErrUnsalvageable) {
-		t.Fatalf("slice pinball without slice section: err = %v, want ErrUnsalvageable", err)
+	for version, data := range encodings(t, "v2-slice.pinball", slicePinball()) {
+		t.Run(version, func(t *testing.T) {
+			torn := tornAtSection(t, data, 6, 6) // the slice section
+			_, _, err := pinball.SalvageBytes(torn)
+			if !errors.Is(err, pinball.ErrUnsalvageable) {
+				t.Fatalf("slice pinball without slice section: err = %v, want ErrUnsalvageable", err)
+			}
+		})
 	}
 }
 
@@ -321,22 +323,6 @@ func TestSalvageIntactFile(t *testing.T) {
 	}
 }
 
-func TestSalvageLegacyFails(t *testing.T) {
-	pb := samplePinball()
-	path := filepath.Join(t.TempDir(), "v0.pinball")
-	if err := pb.SaveLegacy(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = pinball.SalvageBytes(data[:len(data)/2])
-	if !errors.Is(err, pinball.ErrUnsalvageable) {
-		t.Fatalf("torn legacy: err = %v, want ErrUnsalvageable", err)
-	}
-}
-
 func TestLoadErrorsCarrySectionOffsets(t *testing.T) {
 	pb := samplePinball()
 	data, err := pb.EncodeBytes()
@@ -347,9 +333,9 @@ func TestLoadErrorsCarrySectionOffsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip a payload byte in the schedule section (id 3).
+	// Flip a payload byte in the schedule chunk (id 8).
 	for _, s := range secs {
-		if s.ID == 3 {
+		if s.ID == 8 {
 			data[s.Off+13] ^= 0xff
 		}
 	}
@@ -362,7 +348,7 @@ func TestLoadErrorsCarrySectionOffsets(t *testing.T) {
 		t.Fatalf("bit flip: err = %v, want ErrCorrupt", err)
 	}
 	msg := err.Error()
-	for _, want := range []string{"section id 3", "byte offset", "checksum", "flipped.pinball"} {
+	for _, want := range []string{"section id 8", "byte offset", "checksum", "flipped.pinball"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("error %q missing %q", msg, want)
 		}

@@ -36,43 +36,55 @@ func packPayload(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// On-disk framing. Every pinball starts with the magic and a format
-// version byte:
+// On-disk framing. Every pinball starts with the magic, a format version
+// byte and a kind byte, followed by section frames: id (1B), payload
+// length (8B big-endian), CRC32-IEEE of the compressed payload (4B),
+// payload (gzip-compressed gob). Truncation and bit flips are detected
+// before anything is decoded.
 //
-//	version 1 ("legacy v0"): one gzip stream holding the gob of the whole
-//	Pinball struct — no checksums, no bounds. Still readable.
-//	version 2 ("format v1"): kind byte, section count, then framed
-//	sections: id (1B), payload length (8B big-endian), CRC32-IEEE of the
-//	compressed payload (4B), payload (gzip-compressed gob). Truncation,
-//	bit flips and dropped sections are all detected before decoding.
-//	version 3 ("journal"): kind byte, then framed sections appended
-//	incrementally while recording, terminated by a commit frame — see
-//	journal.go. A journal without its commit frame is an interrupted
-//	recording: Load rejects it as truncated, Salvage recovers its
-//	longest checkpoint-consistent prefix.
+//	version 3 ("journal"): the only version written. Frames follow the
+//	kind byte and end with a commit frame carrying the authoritative
+//	meta and the manifest of every frame before it. The recording
+//	journal appends frames as a recording runs (journal.go); Save
+//	writes the same format in one shot. A journal without its commit
+//	frame is an interrupted recording: Load rejects it as truncated,
+//	Salvage recovers what it can.
+//	version 2 ("framed"): read-only. A section-count byte follows the
+//	kind byte; sections 3, 4, 5 and 7 carry whole streams, and the meta
+//	section's manifest lists every section.
+//
+// Version 1, the pre-framing gzip+gob format, is no longer read: Load
+// rejects it with ErrVersionSkew.
 const (
 	fileMagic      = "DRPB"
-	versionLegacy  = byte(1) // pre-framing format, kept readable
-	versionFramed  = byte(2) // atomic-save format ("pinball format v1")
-	versionJournal = byte(3) // incremental journal written during recording
+	versionFramed  = byte(2) // read-only section-framed format
+	versionJournal = byte(3) // the written format
 )
 
-// Section ids of the framed format. Meta, state and schedule are
-// mandatory; the rest are written only when non-empty. Unknown ids are
-// checksum-verified and skipped, leaving room for additive extensions.
+// Section ids. Unknown ids are checksum-verified and skipped, leaving
+// room for additive extensions.
 const (
-	secMeta        = byte(1)
-	secState       = byte(2)
+	secMeta  = byte(1)
+	secState = byte(2)
+	// Whole-stream sections of version 2 files; version 3 carries the
+	// same streams as chunk frames (ids 8-11).
 	secSchedule    = byte(3)
 	secSyscalls    = byte(4)
 	secOrder       = byte(5)
-	secSlice       = byte(6)
+	secSlice       = byte(6) // sliceV1, slice pinballs only
 	secCheckpoints = byte(7)
+	// Stream chunks: each carries a delta that is appended to the
+	// stream. Save writes each stream as a single chunk.
+	secQuantaChunk     = byte(8)  // []vm.Quantum
+	secSyscallChunk    = byte(9)  // []vm.SyscallRecord
+	secOrderChunk      = byte(10) // []vm.OrderEdge
+	secCheckpointChunk = byte(11) // []Checkpoint
+	secCommit          = byte(12) // metaV1, authoritative, terminates the journal
 	// secRing carries the flight-recorder payload (ringV1): budget,
-	// sampling policy, eviction manifest and bridge recipe. Written by v2
-	// saves of ring pinballs and as the commit-time manifest frame of v3
-	// ring journals. Ids 8-12 are the v3 chunk frames (journal.go).
-	secRing = byte(13)
+	// sampling policy, eviction manifest and bridge recipe.
+	secRing       = byte(13)
+	secRecipe     = byte(14) // Recipe, written right after the state frame
+	secRingWindow = byte(15) // ringWindowV1, one per sealed flush window
 )
 
 // sectionHeaderLen is id + length + crc.
@@ -93,11 +105,12 @@ type metaV1 struct {
 	EndReason       string
 	Failure         *vm.Failure
 	CheckpointEvery int64
-	// Sections is the manifest of section ids the writer emitted. Salvage
-	// uses it to tell which sections a torn file actually lost — without
-	// it, a tear at a frame boundary is indistinguishable from a shorter
-	// recording. Empty in files written before the manifest existed (gob
-	// decodes the missing field as nil).
+	// Sections is the manifest: the ids of every frame before the commit
+	// frame (every section of a version 2 file), in file order. Decode
+	// rejects a file whose frames disagree with it, and Salvage uses it to
+	// tell which frames a torn file lost. Empty in the provisional meta of
+	// a recording journal and in files written before the manifest
+	// existed (gob decodes the missing field as nil).
 	Sections []byte
 }
 
@@ -136,7 +149,50 @@ func kindByte(k Kind) byte {
 	}
 }
 
-// Save writes the pinball to path in the framed v1 format (the paper uses
+// frameWriter seals section frames onto w and records their ids, which
+// become the commit frame's manifest. It keeps a sticky error: after the
+// first failure every later append is a no-op.
+type frameWriter struct {
+	w   io.Writer
+	ids []byte
+	err error
+}
+
+// header writes the version 3 file header.
+func (fw *frameWriter) header(k Kind) {
+	_, fw.err = fw.w.Write(append([]byte(fileMagic), versionJournal, kindByte(k)))
+}
+
+// append seals one section frame: gob+gzip payload, length, CRC.
+func (fw *frameWriter) append(id byte, v any) {
+	if fw.err != nil {
+		return
+	}
+	payload, err := packPayload(v)
+	if err != nil {
+		fw.err = fmt.Errorf("encode section %d: %w", id, err)
+		return
+	}
+	var hdr [sectionHeaderLen]byte
+	hdr[0] = id
+	binary.BigEndian.PutUint64(hdr[1:9], uint64(len(payload)))
+	binary.BigEndian.PutUint32(hdr[9:13], crc32.ChecksumIEEE(payload))
+	if _, fw.err = fw.w.Write(hdr[:]); fw.err != nil {
+		return
+	}
+	if _, fw.err = fw.w.Write(payload); fw.err == nil {
+		fw.ids = append(fw.ids, id)
+	}
+}
+
+// ringFrame returns the ring frame payload and whether p has
+// flight-recorder fields to carry.
+func (p *Pinball) ringFrame() (ringV1, bool) {
+	return ringV1{p.RingBytes, p.SampleKeep, p.Evictions, p.Recipe},
+		p.RingBytes != 0 || p.SampleKeep != 0 || len(p.Evictions) > 0 || p.Recipe != nil
+}
+
+// Save writes the pinball to path as a committed journal (the paper uses
 // bzip2 pinball compression; gzip is the stdlib equivalent). The write is
 // crash-safe: the file is staged in a temporary sibling, fsynced and
 // atomically renamed into place, so a crash or disk-full mid-save leaves
@@ -149,9 +205,9 @@ func (p *Pinball) Save(path string) error {
 	return nil
 }
 
-// EncodeBytes returns the framed on-disk representation of the pinball,
-// exactly as Save would write it. The fault-injection harness corrupts
-// these bytes in memory instead of going through temporary files.
+// EncodeBytes returns the on-disk representation of the pinball, exactly
+// as Save would write it. The fault-injection harness corrupts these
+// bytes in memory instead of going through temporary files.
 func (p *Pinball) EncodeBytes() ([]byte, error) {
 	var buf bytes.Buffer
 	if err := p.encode(&buf); err != nil {
@@ -160,71 +216,43 @@ func (p *Pinball) EncodeBytes() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// encode writes the framed representation to w.
+// encode writes the pinball to w as a single-shot journal: a leading
+// meta frame carrying the full manifest, the state, the recipe, each
+// non-empty stream as one chunk with the optional streams (order edges,
+// checkpoints) last, then the ring and commit frames. A file torn
+// anywhere still opens with a manifest that tells Salvage what was lost.
 func (p *Pinball) encode(w io.Writer) error {
 	type section struct {
-		id      byte
-		payload []byte
+		id byte
+		v  any
 	}
-	pack := func(id byte, v any) (section, error) {
-		payload, err := packPayload(v)
-		if err != nil {
-			return section{}, fmt.Errorf("encode section %d: %w", id, err)
+	secs := []section{{secMeta, nil}, {secState, p.State}}
+	add := func(id byte, v any, present bool) {
+		if present {
+			secs = append(secs, section{id, v})
 		}
-		return section{id, payload}, nil
 	}
+	add(secRecipe, p.Recipe, p.Recipe != nil)
+	add(secQuantaChunk, p.Quanta, len(p.Quanta) > 0)
+	add(secSyscallChunk, p.Syscalls, len(p.Syscalls) > 0)
+	add(secSlice, sliceV1{p.Exclusions, p.Injections}, len(p.Exclusions) > 0 || len(p.Injections) > 0)
+	add(secOrderChunk, p.OrderEdges, len(p.OrderEdges) > 0)
+	add(secCheckpointChunk, p.Checkpoints, len(p.Checkpoints) > 0)
+	rg, ring := p.ringFrame()
+	add(secRing, rg, ring)
+	manifest := make([]byte, len(secs))
+	for i, s := range secs {
+		manifest[i] = s.id
+	}
+	secs[0].v = p.meta(manifest)
 
-	sections := []struct {
-		id    byte
-		v     any
-		empty bool
-	}{
-		{secMeta, nil, false}, // meta payload built after the manifest is known
-		{secState, p.State, false},
-		{secSchedule, p.Quanta, false},
-		{secSyscalls, p.Syscalls, len(p.Syscalls) == 0},
-		{secOrder, p.OrderEdges, len(p.OrderEdges) == 0},
-		{secSlice, sliceV1{p.Exclusions, p.Injections}, len(p.Exclusions) == 0 && len(p.Injections) == 0},
-		{secCheckpoints, p.Checkpoints, len(p.Checkpoints) == 0},
-		{secRing, ringV1{p.RingBytes, p.SampleKeep, p.Evictions, p.Recipe},
-			p.RingBytes == 0 && p.SampleKeep == 0 && len(p.Evictions) == 0 && p.Recipe == nil},
+	fw := &frameWriter{w: w}
+	fw.header(p.Kind)
+	for _, s := range secs {
+		fw.append(s.id, s.v)
 	}
-	var manifest []byte
-	for _, s := range sections {
-		if !s.empty {
-			manifest = append(manifest, s.id)
-		}
-	}
-	sections[0].v = p.meta(manifest)
-	var packed []section
-	for _, s := range sections {
-		if s.empty {
-			continue
-		}
-		ps, err := pack(s.id, s.v)
-		if err != nil {
-			return err
-		}
-		packed = append(packed, ps)
-	}
-
-	header := append([]byte(fileMagic), versionFramed, kindByte(p.Kind), byte(len(packed)))
-	if _, err := w.Write(header); err != nil {
-		return err
-	}
-	var frame [sectionHeaderLen]byte
-	for _, s := range packed {
-		frame[0] = s.id
-		binary.BigEndian.PutUint64(frame[1:9], uint64(len(s.payload)))
-		binary.BigEndian.PutUint32(frame[9:13], crc32.ChecksumIEEE(s.payload))
-		if _, err := w.Write(frame[:]); err != nil {
-			return err
-		}
-		if _, err := w.Write(s.payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	fw.append(secCommit, p.meta(fw.ids))
+	return fw.err
 }
 
 // Load reads, checksum-verifies and structurally validates a pinball.
@@ -242,8 +270,8 @@ func Load(path string) (*Pinball, error) {
 	return p, nil
 }
 
-// Decode parses pinball file bytes (both format versions), verifying
-// checksums and structural invariants.
+// Decode parses pinball file bytes (version 2 or 3), verifying checksums,
+// the manifest and structural invariants.
 func Decode(data []byte) (*Pinball, error) {
 	if len(data) < len(fileMagic)+1 {
 		return nil, fmt.Errorf("%w: %d-byte file", ErrNotPinball, len(data))
@@ -251,40 +279,29 @@ func Decode(data []byte) (*Pinball, error) {
 	if string(data[:len(fileMagic)]) != fileMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrNotPinball)
 	}
-	var p *Pinball
-	var err error
-	switch v := data[len(fileMagic)]; v {
-	case versionLegacy:
-		p, err = decodeLegacy(data[len(fileMagic)+1:])
-	case versionFramed:
-		p, err = decodeFramed(data)
-	case versionJournal:
-		p, err = decodeJournal(data)
-	default:
-		return nil, fmt.Errorf("%w: file has version %d, this build reads up to %d", ErrVersionSkew, v, versionJournal)
+	if v := data[len(fileMagic)]; v != versionFramed && v != versionJournal {
+		return nil, fmt.Errorf("%w: file has version %d, this build reads versions %d and %d",
+			ErrVersionSkew, v, versionFramed, versionJournal)
 	}
+	parts, err := readFrames(data, -1)
 	if err != nil {
 		return nil, err
+	}
+	if !parts.committed {
+		return nil, fmt.Errorf("%w: no commit frame — the recording was interrupted or the file was cut short (run drrepair, or load with salvage enabled)", ErrTruncated)
+	}
+	if i := parts.drift(); i >= 0 {
+		return nil, fmt.Errorf("%w: %s", ErrCorrupt, parts.driftCause(i))
+	}
+	p := parts.p
+	p.applyMeta(parts.meta)
+	if kindByte(p.Kind) != parts.kindB {
+		return nil, fmt.Errorf("%w: header kind %q does not match meta kind %q", ErrCorrupt, parts.kindB, p.Kind)
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	return p, nil
-}
-
-// decodeLegacy reads the pre-framing format: gzip over the gob of the
-// whole struct.
-func decodeLegacy(body []byte) (*Pinball, error) {
-	zr, err := gzip.NewReader(bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("%w: legacy decompress: %v", ErrCorrupt, err)
-	}
-	defer zr.Close()
-	var p Pinball
-	if err := gobDecode(zr, &p); err != nil {
-		return nil, err
-	}
-	return &p, nil
 }
 
 // frame is one parsed section frame: its id, 1-based position in the
@@ -339,93 +356,6 @@ func (f frame) decode(dst any) error {
 	return nil
 }
 
-// apply decodes the frame into its slot on p (meta frames into meta).
-// Unknown ids are checksum-verified and skipped.
-func (f frame) apply(p *Pinball, meta *metaV1) error {
-	var dst any
-	var sl sliceV1
-	var ring ringV1
-	switch f.id {
-	case secMeta:
-		dst = meta
-	case secState:
-		dst = &p.State
-	case secSchedule:
-		dst = &p.Quanta
-	case secSyscalls:
-		dst = &p.Syscalls
-	case secOrder:
-		dst = &p.OrderEdges
-	case secSlice:
-		dst = &sl
-	case secCheckpoints:
-		dst = &p.Checkpoints
-	case secRing:
-		dst = &ring
-	default:
-		return nil
-	}
-	if err := f.decode(dst); err != nil {
-		return err
-	}
-	switch f.id {
-	case secSlice:
-		p.Exclusions, p.Injections = sl.Exclusions, sl.Injections
-	case secRing:
-		p.RingBytes, p.SampleKeep = ring.RingBytes, ring.SampleKeep
-		p.Evictions, p.Recipe = ring.Evictions, ring.Recipe
-	}
-	return nil
-}
-
-// framedHeaderLen is the v2 file header: magic + version + kind + count.
-const framedHeaderLen = int64(len(fileMagic) + 3)
-
-// decodeFramed reads the v1 section framing from the full file bytes.
-func decodeFramed(data []byte) (*Pinball, error) {
-	if int64(len(data)) < framedHeaderLen {
-		return nil, fmt.Errorf("%w: header ends after version byte", ErrTruncated)
-	}
-	kindB, count := data[len(fileMagic)+1], int(data[len(fileMagic)+2])
-
-	p := &Pinball{}
-	meta := metaV1{}
-	seen := map[byte]bool{}
-	off := framedHeaderLen
-	for i := 1; i <= count; i++ {
-		f, next, err := readFrame(data, off, i)
-		if err != nil {
-			return nil, err
-		}
-		off = next
-		if seen[f.id] {
-			return nil, fmt.Errorf("%w: duplicate section id %d (#%d) at byte offset %d", ErrCorrupt, f.id, i, f.off)
-		}
-		seen[f.id] = true
-		if err := f.apply(p, &meta); err != nil {
-			return nil, err
-		}
-	}
-	if rest := int64(len(data)) - off; rest != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after the last section at byte offset %d", ErrCorrupt, rest, off)
-	}
-	for _, req := range []byte{secMeta, secState, secSchedule} {
-		if !seen[req] {
-			return nil, fmt.Errorf("%w: mandatory section %d missing", ErrCorrupt, req)
-		}
-	}
-	for _, id := range meta.Sections {
-		if !seen[id] {
-			return nil, fmt.Errorf("%w: section %d is in the manifest but missing from the file", ErrCorrupt, id)
-		}
-	}
-	p.applyMeta(meta)
-	if kindByte(p.Kind) != kindB {
-		return nil, fmt.Errorf("%w: header kind %q does not match meta kind %q", ErrCorrupt, kindB, p.Kind)
-	}
-	return p, nil
-}
-
 // gobDecode decodes into v, converting both gob errors and gob panics
 // (which malformed streams can trigger deep inside the decoder) into
 // typed errors.
@@ -444,7 +374,29 @@ func gobDecode(r io.Reader, v any) (err error) {
 	return nil
 }
 
-// SectionInfo locates one framed section inside a v1 pinball file; Off is
+// frameStart returns where the first frame of a version 2 or 3 file
+// starts, and the section count a version 2 header declares (-1 for a
+// journal, whose frames run to its commit frame).
+func frameStart(data []byte) (off int64, count int, err error) {
+	off = int64(len(fileMagic) + 2)
+	v := data[len(fileMagic)]
+	switch v {
+	case versionJournal:
+	case versionFramed:
+		off++
+	default:
+		return 0, 0, fmt.Errorf("%w: version %d has no section framing", ErrVersionSkew, v)
+	}
+	if int64(len(data)) < off {
+		return 0, 0, fmt.Errorf("%w: header ends after version byte", ErrTruncated)
+	}
+	if v == versionFramed {
+		return off, int(data[off-1]), nil
+	}
+	return off, -1, nil
+}
+
+// SectionInfo locates one framed section inside a pinball file; Off is
 // the frame start and Len the full frame length (header + payload). The
 // fault-injection harness uses it to drop or damage precise sections.
 type SectionInfo struct {
@@ -453,29 +405,19 @@ type SectionInfo struct {
 	Len int64
 }
 
-// SectionOffsets walks the framing of v1 (framed) or journal pinball
-// file bytes without decoding payloads. It fails with the same typed
-// errors as Decode.
+// SectionOffsets walks the framing of version 2 or 3 pinball file bytes
+// without decoding payloads. It fails with the same typed errors as
+// Decode.
 func SectionOffsets(data []byte) ([]SectionInfo, error) {
-	headerLen := len(fileMagic) + 2
-	if len(data) < headerLen {
+	if len(data) < len(fileMagic)+1 {
 		return nil, fmt.Errorf("%w: %d-byte file", ErrTruncated, len(data))
 	}
 	if string(data[:len(fileMagic)]) != fileMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrNotPinball)
 	}
-	count := -1 // journal: frames run to end of file
-	off := int64(headerLen)
-	switch v := data[len(fileMagic)]; v {
-	case versionFramed:
-		if int64(len(data)) < framedHeaderLen {
-			return nil, fmt.Errorf("%w: %d-byte file", ErrTruncated, len(data))
-		}
-		count = int(data[headerLen])
-		off = framedHeaderLen
-	case versionJournal:
-	default:
-		return nil, fmt.Errorf("%w: version %d has no section framing", ErrVersionSkew, v)
+	off, count, err := frameStart(data)
+	if err != nil {
+		return nil, err
 	}
 	var out []SectionInfo
 	for i := 1; count < 0 || i <= count; i++ {
@@ -493,30 +435,6 @@ func SectionOffsets(data []byte) ([]SectionInfo, error) {
 		off += sectionHeaderLen + n
 	}
 	return out, nil
-}
-
-// SaveLegacy writes the pinball in the pre-framing v0 format (magic,
-// version byte 1, one gzip+gob stream) — kept only so compatibility
-// tests and the fault-injection harness can produce legacy files. Like
-// Save, the write is staged and atomically renamed: a mid-write error
-// removes the staging file and never clobbers an existing good pinball.
-func (p *Pinball) SaveLegacy(path string) error {
-	cp := *p
-	cp.CheckpointEvery, cp.Checkpoints = 0, nil // fields v0 never had
-	err := writeFileAtomic(path, func(w io.Writer) error {
-		if _, err := w.Write(append([]byte(fileMagic), versionLegacy)); err != nil {
-			return err
-		}
-		zw := gzip.NewWriter(w)
-		if err := gob.NewEncoder(zw).Encode(&cp); err != nil {
-			return fmt.Errorf("encode: %w", err)
-		}
-		return zw.Close()
-	})
-	if err != nil {
-		return fmt.Errorf("pinball: save %s: %w", path, err)
-	}
-	return nil
 }
 
 // EncodedSize returns the on-disk size of the pinball in bytes by

@@ -1,9 +1,7 @@
 package pinball
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 
 	"repro/internal/vm"
@@ -28,27 +26,13 @@ import (
 // interrupted recording and fails with ErrTruncated (pointing the user
 // at drrepair / Salvage).
 
-// Journal chunk section ids (the framed ids 1..7 keep their meaning).
-const (
-	secQuantaChunk     = byte(8)  // []vm.Quantum delta
-	secSyscallChunk    = byte(9)  // []vm.SyscallRecord delta
-	secOrderChunk      = byte(10) // []vm.OrderEdge delta
-	secCheckpointChunk = byte(11) // []Checkpoint delta
-	secCommit          = byte(12) // metaV1, authoritative, terminates the journal
-	// Ring (flight-recorder) frames; secRing = 13 lives in format.go.
-	secRecipe     = byte(14) // Recipe, written right after the state frame
-	secRingWindow = byte(15) // ringWindowV1, one per sealed flush window
-)
-
-// journalHeaderLen is the v3 file header: magic + version + kind.
-const journalHeaderLen = int64(len(fileMagic) + 2)
-
 // JournalWriter appends a recording to disk as it happens. Methods keep
 // a sticky error: after the first failure every later call is a no-op
 // returning the same error, so the recording loop does not need to check
 // every flush.
 type JournalWriter struct {
 	f    *os.File
+	fw   frameWriter
 	path string
 	sync bool
 	err  error
@@ -64,16 +48,13 @@ func NewJournalWriter(path string, p *Pinball, sync bool) (*JournalWriter, error
 	if err != nil {
 		return nil, fmt.Errorf("pinball: journal: %w", err)
 	}
-	w := &JournalWriter{f: f, path: path, sync: sync}
-	header := append([]byte(fileMagic), versionJournal, kindByte(p.Kind))
-	if _, err := f.Write(header); err != nil {
-		w.fail(err)
-		return nil, w.err
-	}
+	w := &JournalWriter{f: f, fw: frameWriter{w: f}, path: path, sync: sync}
+	w.fw.header(p.Kind)
 	w.appendFrame(secMeta, p.meta(nil))
 	w.appendFrame(secState, p.State)
 	w.maybeSync()
 	if w.err != nil {
+		f.Close()
 		return nil, w.err
 	}
 	return w, nil
@@ -92,26 +73,15 @@ func (w *JournalWriter) fail(err error) {
 	}
 }
 
-// appendFrame seals one section frame: gob+gzip payload, length, CRC.
+// appendFrame seals one section frame through the frame writer, which
+// records its id for the commit manifest.
 func (w *JournalWriter) appendFrame(id byte, v any) {
 	if w.err != nil {
 		return
 	}
-	payload, err := packPayload(v)
-	if err != nil {
-		w.fail(fmt.Errorf("encode section %d: %w", id, err))
-		return
-	}
-	var hdr [sectionHeaderLen]byte
-	hdr[0] = id
-	binary.BigEndian.PutUint64(hdr[1:9], uint64(len(payload)))
-	binary.BigEndian.PutUint32(hdr[9:13], crc32.ChecksumIEEE(payload))
-	if _, err := w.f.Write(hdr[:]); err != nil {
-		w.fail(err)
-		return
-	}
-	if _, err := w.f.Write(payload); err != nil {
-		w.fail(err)
+	w.fw.append(id, v)
+	if w.fw.err != nil {
+		w.fail(w.fw.err)
 	}
 }
 
@@ -166,14 +136,16 @@ func (w *JournalWriter) AppendWindowSeal(id, fromStep, toStep int64, hash uint64
 	return w.err
 }
 
-// Commit writes the authoritative meta from the finished pinball,
-// fsyncs and closes the journal — only then is the file a complete,
-// loadable pinball.
+// Commit writes the ring frame (for flight-recorder recordings) and the
+// commit frame — the authoritative meta from the finished pinball plus
+// the manifest of every frame appended before it — then fsyncs and
+// closes the journal. Only then is the file a complete, loadable
+// pinball.
 func (w *JournalWriter) Commit(final *Pinball) error {
-	if final.RingBytes != 0 || final.SampleKeep != 0 || len(final.Evictions) > 0 || final.Recipe != nil {
-		w.appendFrame(secRing, ringV1{final.RingBytes, final.SampleKeep, final.Evictions, final.Recipe})
+	if rg, ok := final.ringFrame(); ok {
+		w.appendFrame(secRing, rg)
 	}
-	w.appendFrame(secCommit, final.meta(nil))
+	w.appendFrame(secCommit, final.meta(w.fw.ids))
 	if w.err == nil {
 		if err := w.f.Sync(); err != nil {
 			w.fail(err)
@@ -195,15 +167,20 @@ func (w *JournalWriter) Abort() error {
 	return w.err
 }
 
-// journalParts is the raw content of a journal's valid frame prefix.
+// journalParts accumulates the valid frame prefix of a version 2 or 3
+// file. Both versions are read by the same walker: a version 2 file is a
+// journal whose whole-stream sections are one chunk each, and which is
+// complete — committed — once its declared section count has been read.
 type journalParts struct {
+	version   byte
 	kindB     byte
 	meta      metaV1 // provisional at first, overwritten by the commit frame
 	hasMeta   bool
 	committed bool
 	p         *Pinball
-	frames    int
-	end       int64 // byte offset just past the last good frame
+	ids       []byte  // ids of the frames read, in file order
+	offs      []int64 // their byte offsets
+	end       int64   // byte offset just past the last good frame
 
 	// Ring (flight-recorder) journal state: ringMode is set by the recipe
 	// frame; windows accumulates every window-seal frame, in order.
@@ -211,86 +188,97 @@ type journalParts struct {
 	windows  []ringWindowV1
 }
 
-// readJournalFrames walks the journal's frames from the top of file,
-// accumulating chunks in order, until end of file, the commit frame, or
-// the first damaged frame — in which case the error describes the damage
-// and parts holds everything before it (parts.end is the damage offset).
-func readJournalFrames(data []byte) (*journalParts, error) {
-	parts := &journalParts{p: &Pinball{}, end: journalHeaderLen}
-	if int64(len(data)) < journalHeaderLen {
+// readFrames walks the file's frames from the top, accumulating them in
+// order, until the commit frame (a version 2 file's last declared
+// section), end of file, limit frames (limit < 0 for no limit), or the
+// first damaged frame — in which case the error describes the damage and
+// parts holds everything before it (parts.end is the damage offset). The
+// caller has checked the magic.
+func readFrames(data []byte, limit int) (*journalParts, error) {
+	parts := &journalParts{p: &Pinball{}, version: data[len(fileMagic)]}
+	off, count, err := frameStart(data)
+	if err != nil {
 		parts.end = int64(len(data))
-		return parts, fmt.Errorf("%w: header ends after version byte", ErrTruncated)
+		return parts, err
 	}
-	parts.kindB = data[len(fileMagic)+1]
-	for off := journalHeaderLen; off < int64(len(data)); {
-		f, next, err := readFrame(data, off, parts.frames+1)
+	parts.kindB, parts.end = data[len(fileMagic)+1], off
+	for len(parts.ids) != limit {
+		if len(parts.ids) == count {
+			parts.committed = true
+		}
+		if parts.committed {
+			if rest := int64(len(data)) - off; rest != 0 {
+				return parts, fmt.Errorf("%w: %d trailing bytes after the last frame at byte offset %d", ErrCorrupt, rest, off)
+			}
+			break
+		}
+		if count < 0 && off == int64(len(data)) {
+			break
+		}
+		f, next, err := readFrame(data, off, len(parts.ids)+1)
 		if err != nil {
 			return parts, err
 		}
 		if err := parts.applyFrame(f); err != nil {
 			return parts, err
 		}
-		parts.frames++
-		parts.end = next
-		off = next
-		if parts.committed {
-			if rest := int64(len(data)) - off; rest != 0 {
-				return parts, fmt.Errorf("%w: %d trailing bytes after the commit frame at byte offset %d", ErrCorrupt, rest, off)
-			}
-			break
-		}
+		parts.ids = append(parts.ids, f.id)
+		parts.offs = append(parts.offs, f.off)
+		parts.end, off = next, next
 	}
 	return parts, nil
 }
 
-// applyFrame merges one valid frame into the accumulated journal state.
+// applyFrame merges one valid frame into the accumulated state. The
+// version 2 whole-stream sections are applied as a single chunk each.
 func (j *journalParts) applyFrame(f frame) error {
 	switch f.id {
-	case secMeta:
-		if err := f.decode(&j.meta); err != nil {
+	case secMeta, secCommit:
+		var m metaV1
+		if err := f.decode(&m); err != nil {
 			return err
 		}
-		j.hasMeta = true
-	case secCommit:
-		if err := f.decode(&j.meta); err != nil {
-			return err
-		}
-		j.hasMeta, j.committed = true, true
+		j.meta, j.hasMeta = m, true
+		j.committed = f.id == secCommit
 	case secState:
 		return f.decode(&j.p.State)
-	case secQuantaChunk:
+	case secSchedule, secQuantaChunk:
 		var q []vm.Quantum
 		if err := f.decode(&q); err != nil {
 			return err
 		}
 		// A flush boundary can split a still-open quantum across chunks;
-		// re-merge adjacent same-thread runs so the decoded schedule is the
-		// machine's maximal run-length form, bit-identical to a Save.
-		for _, e := range q {
-			if n := len(j.p.Quanta); n > 0 && j.p.Quanta[n-1].Tid == e.Tid {
-				j.p.Quanta[n-1].Count += e.Count
-				continue
-			}
-			j.p.Quanta = append(j.p.Quanta, e)
+		// re-join it so the decoded schedule is the machine's run-length
+		// form, bit-identical to a Save.
+		if n := len(j.p.Quanta); n > 0 && len(q) > 0 && j.p.Quanta[n-1].Tid == q[0].Tid {
+			j.p.Quanta[n-1].Count += q[0].Count
+			q = q[1:]
 		}
-	case secSyscallChunk:
+		j.p.Quanta = append(j.p.Quanta, q...)
+	case secSyscalls, secSyscallChunk:
 		var s []vm.SyscallRecord
 		if err := f.decode(&s); err != nil {
 			return err
 		}
 		j.p.Syscalls = append(j.p.Syscalls, s...)
-	case secOrderChunk:
+	case secOrder, secOrderChunk:
 		var e []vm.OrderEdge
 		if err := f.decode(&e); err != nil {
 			return err
 		}
 		j.p.OrderEdges = append(j.p.OrderEdges, e...)
-	case secCheckpointChunk:
+	case secCheckpoints, secCheckpointChunk:
 		var c []Checkpoint
 		if err := f.decode(&c); err != nil {
 			return err
 		}
 		j.p.Checkpoints = append(j.p.Checkpoints, c...)
+	case secSlice:
+		var sl sliceV1
+		if err := f.decode(&sl); err != nil {
+			return err
+		}
+		j.p.Exclusions, j.p.Injections = sl.Exclusions, sl.Injections
 	case secRecipe:
 		var r Recipe
 		if err := f.decode(&r); err != nil {
@@ -318,19 +306,47 @@ func (j *journalParts) applyFrame(f frame) error {
 	return nil // checksum-verified unknown section: skip
 }
 
-// decodeJournal reads a committed journal from the full file bytes.
-func decodeJournal(data []byte) (*Pinball, error) {
-	parts, err := readJournalFrames(data)
-	if err != nil {
-		return nil, err
+// framesBeforeCommit returns the ids the manifest must list: every frame
+// read except a version 3 commit frame.
+func (j *journalParts) framesBeforeCommit() []byte {
+	if j.committed && j.version == versionJournal {
+		return j.ids[:len(j.ids)-1]
 	}
-	if !parts.committed {
-		return nil, fmt.Errorf("%w: journal has no commit frame — the recording was interrupted (run drrepair, or load with salvage enabled)", ErrTruncated)
+	return j.ids
+}
+
+// drift returns the index of the first frame whose id disagrees with the
+// manifest — a frame dropped, duplicated or reordered — or -1 when the
+// frames read agree with it. A committed file must match the manifest
+// exactly; an uncommitted prefix only has to be a prefix of it. Files
+// without a manifest (journals written before it existed) never drift.
+func (j *journalParts) drift() int {
+	manifest, ids := j.meta.Sections, j.framesBeforeCommit()
+	if len(manifest) == 0 {
+		return -1
 	}
-	p := parts.p
-	p.applyMeta(parts.meta)
-	if kindByte(p.Kind) != parts.kindB {
-		return nil, fmt.Errorf("%w: header kind %q does not match meta kind %q", ErrCorrupt, parts.kindB, p.Kind)
+	for i, id := range ids {
+		if i >= len(manifest) || manifest[i] != id {
+			return i
+		}
 	}
-	return p, nil
+	if j.committed && len(ids) < len(manifest) {
+		return len(ids)
+	}
+	return -1
+}
+
+// driftCause describes the manifest disagreement at frame index i.
+func (j *journalParts) driftCause(i int) string {
+	manifest, ids := j.meta.Sections, j.framesBeforeCommit()
+	switch {
+	case i >= len(ids):
+		return fmt.Sprintf("the manifest lists %d frames but the file has %d: frame #%d (id %d) is missing",
+			len(manifest), len(ids), i+1, manifest[i])
+	case i >= len(manifest):
+		return fmt.Sprintf("frame #%d (id %d) at byte offset %d is not in the %d-frame manifest",
+			i+1, ids[i], j.offs[i], len(manifest))
+	}
+	return fmt.Sprintf("frame #%d at byte offset %d has id %d, the manifest says %d",
+		i+1, j.offs[i], ids[i], manifest[i])
 }

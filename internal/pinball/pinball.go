@@ -101,7 +101,7 @@ type Pinball struct {
 	// every CheckpointEvery instructions while logging, validated during
 	// replay so a divergent replay fails fast inside the first bad
 	// window instead of at the terminal instruction-count mismatch.
-	// Empty for legacy pinballs and when checkpointing was disabled.
+	// Empty when checkpointing was disabled.
 	CheckpointEvery int64
 	Checkpoints     []Checkpoint
 

@@ -156,6 +156,15 @@ func TestLoadRejectsWrongVersionAndMagic(t *testing.T) {
 	if _, err := pinball.Load(bad); !errors.Is(err, pinball.ErrVersionSkew) {
 		t.Errorf("wrong version: err = %v, want ErrVersionSkew", err)
 	}
+	// The retired pre-framing format (version byte 1).
+	data[4] = 1
+	v0 := filepath.Join(dir, "v0.pinball")
+	if err := os.WriteFile(v0, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pinball.Load(v0); !errors.Is(err, pinball.ErrVersionSkew) {
+		t.Errorf("v0 file: err = %v, want ErrVersionSkew", err)
+	}
 	// Too short to even hold the magic.
 	tiny := filepath.Join(dir, "tiny")
 	if err := os.WriteFile(tiny, []byte("DR"), 0o644); err != nil {

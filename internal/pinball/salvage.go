@@ -3,21 +3,27 @@ package pinball
 import (
 	"fmt"
 	"os"
+	"slices"
 )
 
 // Salvage recovers a usable pinball from a damaged file. Where Decode
 // must reject a torn or bit-flipped file outright, Salvage keeps the
-// longest prefix of CRC-valid, decodable sections and reconstitutes a
-// consistent partial pinball from it:
+// longest prefix of CRC-valid, decodable frames (and, when the frames
+// disagree with the manifest, only those before the first disagreement)
+// and reconstitutes a consistent partial pinball from it:
 //
-//   - A framed (v2) file that lost only trailing optional sections
-//     (order edges, divergence checkpoints) is rebuilt whole; the meta
-//     section's manifest proves the lost sections were optional.
-//   - An interrupted journal (v3, no commit frame — a crash or kill mid
-//     recording) is truncated to the last divergence checkpoint covered
-//     by its surviving schedule chunks: the result replays bit-identically
-//     to the original execution up to that checkpoint, and slices like
-//     any other pinball.
+//   - When the manifest proves that only optional frames were lost
+//     (order edges, divergence checkpoints, the ring frame, the commit
+//     frame), the region is rebuilt whole. Every file Save writes opens
+//     with its manifest, as does every version 2 file.
+//   - A flight-recorder journal interrupted before its ring frame
+//     becomes a fully evicted pinball: every sealed window is a gap that
+//     replay re-derives by bridging.
+//   - Otherwise — an interrupted recording journal (no commit frame: a
+//     crash or kill mid recording) — the prefix is truncated to the last
+//     divergence checkpoint covered by its surviving schedule chunks: the
+//     result replays bit-identically to the original execution up to that
+//     checkpoint, and slices like any other pinball.
 //
 // Damage that costs data replay cannot do without — the initial state,
 // the schedule, recorded syscall results, a slice pinball's injections,
@@ -46,7 +52,7 @@ type SalvageReport struct {
 	DamageCause  string `json:"damage_cause,omitempty"`
 
 	SectionsKept int    `json:"sections_kept"`
-	LostSections []byte `json:"lost_sections,omitempty"` // known-lost ids (v2 manifest)
+	LostSections []byte `json:"lost_sections,omitempty"` // known-lost ids (from the manifest)
 
 	// OriginalInstrs is the recorded region length when known (0 for an
 	// uncommitted journal, whose final length died with the recording).
@@ -132,140 +138,103 @@ func SalvageBytes(data []byte) (*Pinball, *SalvageReport, error) {
 		return nil, rep, fmt.Errorf("%w: not a pinball file", ErrUnsalvageable)
 	}
 	rep.Version = data[len(fileMagic)]
-	switch rep.Version {
-	case versionLegacy:
-		// Legacy files are one opaque gzip stream: no frame boundaries to
-		// recover at.
-		rep.DamageCause = "legacy format has no section framing to salvage"
-		return nil, rep, fmt.Errorf("%w: damaged legacy (v0) pinball has no recoverable framing", ErrUnsalvageable)
-	case versionFramed:
-		return salvageFramed(data, rep)
-	case versionJournal:
-		return salvageJournal(data, rep)
+	if rep.Version != versionFramed && rep.Version != versionJournal {
+		rep.DamageCause = fmt.Sprintf("unreadable format version %d", rep.Version)
+		return nil, rep, fmt.Errorf("%w: unreadable format version %d", ErrUnsalvageable, rep.Version)
 	}
-	rep.DamageCause = fmt.Sprintf("unknown format version %d", rep.Version)
-	return nil, rep, fmt.Errorf("%w: unknown format version %d", ErrUnsalvageable, rep.Version)
+	return salvageFrames(data, rep)
 }
 
-// replayCritical are the section ids replay cannot run without. The
-// slice section is critical only for slice pinballs (checked separately).
+// replayCritical names the stream frames replay cannot run without. The
+// slice frame is critical only for slice pinballs.
 var replayCritical = map[byte]string{
-	secMeta:     "meta",
-	secState:    "initial state",
-	secSchedule: "schedule",
-	secSyscalls: "syscall results",
+	secSchedule:     "schedule",
+	secQuantaChunk:  "schedule",
+	secSyscalls:     "syscall results",
+	secSyscallChunk: "syscall results",
 }
 
-// salvageFramed recovers a framed (v2) file: the valid frame prefix is
-// kept, and the meta manifest decides whether the lost tail mattered.
-func salvageFramed(data []byte, rep *SalvageReport) (*Pinball, *SalvageReport, error) {
-	if int64(len(data)) < framedHeaderLen {
-		rep.DamageCause = "file ends inside the header"
-		return nil, rep, fmt.Errorf("%w: file ends inside the header", ErrUnsalvageable)
-	}
-	count := int(data[len(fileMagic)+2])
-	p := &Pinball{}
-	meta := metaV1{}
-	seen := map[byte]bool{}
-	off := framedHeaderLen
-	for i := 1; i <= count; i++ {
-		f, next, err := readFrame(data, off, i)
-		if err == nil && seen[f.id] {
-			err = fmt.Errorf("%w: duplicate section id %d (#%d) at byte offset %d", ErrCorrupt, f.id, i, f.off)
-		}
-		if err == nil {
-			err = f.apply(p, &meta)
-		}
-		if err != nil {
-			rep.DamageOffset, rep.DamageCause = off, err.Error()
-			break
-		}
-		seen[f.id] = true
-		rep.SectionsKept++
-		off = next
-	}
-	rep.BytesKept = off
-
-	// Which sections did the tear cost? Old files without a manifest
-	// cannot prove the lost tail was optional, so they only salvage when
-	// every declared section survived (i.e. only trailing garbage or a
-	// torn final frame past the declared count — rare, but cheap to keep).
-	if !seen[secMeta] {
-		return nil, rep, fmt.Errorf("%w: the meta section did not survive", ErrUnsalvageable)
-	}
-	if len(meta.Sections) == 0 && rep.SectionsKept < count {
-		return nil, rep, fmt.Errorf("%w: file predates the section manifest; cannot prove the %d lost sections were optional",
-			ErrUnsalvageable, count-rep.SectionsKept)
-	}
-	for _, id := range meta.Sections {
-		if seen[id] {
-			continue
-		}
-		rep.LostSections = append(rep.LostSections, id)
-		if what, critical := replayCritical[id]; critical {
-			return nil, rep, fmt.Errorf("%w: the %s section did not survive", ErrUnsalvageable, what)
-		}
-		if id == secSlice && meta.Kind == KindSlice {
-			return nil, rep, fmt.Errorf("%w: the slice pinball's exclusion/injection section did not survive", ErrUnsalvageable)
-		}
-		if id == secCheckpoints {
-			rep.Unverified = true
-		}
-	}
-	p.applyMeta(meta)
-	rep.OriginalInstrs, rep.SalvagedInstrs = p.RegionInstrs, p.RegionInstrs
-	if err := p.Validate(); err != nil {
-		return nil, rep, fmt.Errorf("%w: salvaged content is inconsistent: %v", ErrUnsalvageable, err)
-	}
-	return p, rep, nil
+// optionalFrames are the frames whose loss leaves a replayable region:
+// without order edges replay still follows the schedule, without
+// checkpoints it cannot window-verify, without the commit frame the
+// leading meta stands in, and without the ring frame a recording that
+// evicted nothing is whole (one that did fails validation).
+var optionalFrames = map[byte]bool{
+	secOrder: true, secOrderChunk: true,
+	secCheckpoints: true, secCheckpointChunk: true,
+	secRing: true, secCommit: true,
 }
 
-// salvageJournal recovers an interrupted or damaged journal (v3): the
-// valid frame prefix is truncated to the last divergence checkpoint its
-// schedule chunks cover.
-func salvageJournal(data []byte, rep *SalvageReport) (*Pinball, *SalvageReport, error) {
-	parts, scanErr := readJournalFrames(data)
-	rep.BytesKept = parts.end
-	rep.SectionsKept = parts.frames
-	rep.Committed = parts.committed
+// salvageFrames recovers a version 2 or 3 file from its frame prefix.
+func salvageFrames(data []byte, rep *SalvageReport) (*Pinball, *SalvageReport, error) {
+	parts, scanErr := readFrames(data, -1)
 	if scanErr != nil {
 		rep.DamageOffset, rep.DamageCause = parts.end, scanErr.Error()
 	} else if !parts.committed {
-		rep.DamageCause = "journal has no commit frame: the recording was interrupted"
+		rep.DamageCause = "no commit frame: the recording was interrupted or the file was cut short"
 	}
+	manifest := parts.meta.Sections
+	if i := parts.drift(); i >= 0 {
+		// The frames disagree with the manifest: a frame was dropped,
+		// duplicated or reordered. Only the frames before the first
+		// disagreement are trustworthy.
+		cause := parts.driftCause(i)
+		if i < len(parts.offs) {
+			rep.DamageOffset = parts.offs[i]
+		}
+		parts, _ = readFrames(data, i)
+		rep.DamageCause = cause
+	}
+	rep.BytesKept = parts.end
+	rep.SectionsKept = len(parts.ids)
+	rep.Committed = parts.committed
 
 	p := parts.p
 	switch {
 	case !parts.hasMeta:
-		return nil, rep, fmt.Errorf("%w: the provisional meta frame did not survive", ErrUnsalvageable)
+		return nil, rep, fmt.Errorf("%w: the meta frame did not survive", ErrUnsalvageable)
 	case p.State == nil:
 		return nil, rep, fmt.Errorf("%w: the initial state frame did not survive", ErrUnsalvageable)
 	}
-	if parts.ringMode && !(parts.committed && scanErr == nil) {
+	// The region survives whole when the file is complete, or when the
+	// meta in hand is a full one (it carries the manifest) and the
+	// manifest proves every lost frame optional.
+	var lost []byte
+	if len(manifest) > 0 {
+		lost = manifest[len(parts.framesBeforeCommit()):]
+	}
+	whole := parts.committed
+	if len(parts.meta.Sections) > 0 {
+		whole = true
+		for _, id := range lost {
+			whole = whole && optionalFrames[id]
+		}
+	}
+	rep.LostSections = lost
+	p.applyMeta(parts.meta)
+	switch {
+	case whole:
+		rep.OriginalInstrs, rep.SalvagedInstrs = p.RegionInstrs, p.RegionInstrs
+		rep.Unverified = slices.Contains(lost, secCheckpoints) || slices.Contains(lost, secCheckpointChunk)
+		if err := p.Validate(); err != nil {
+			return nil, rep, fmt.Errorf("%w: salvaged content is inconsistent: %v", ErrUnsalvageable, err)
+		}
+		return p, rep, nil
+	case parts.ringMode:
 		// A ring journal defers retained window content to commit time, so
 		// an interrupted one has no schedule chunks to truncate — instead
 		// every sealed window becomes a verifiable eviction.
 		return salvageRing(parts, rep)
 	}
-	if len(p.Quanta) == 0 {
-		return nil, rep, fmt.Errorf("%w: no schedule chunk survived", ErrUnsalvageable)
-	}
-	p.applyMeta(parts.meta)
-	rep.OriginalInstrs = parts.meta.RegionInstrs // 0 unless the commit frame survived
+	return salvageTruncated(p, parts.meta, lost, rep)
+}
 
-	if parts.committed && scanErr == nil {
-		// Clean committed journal (Decode would have accepted it; only
-		// reachable if validation failed, which truncation cannot fix).
-		if err := p.Validate(); err != nil {
-			return nil, rep, fmt.Errorf("%w: committed journal is inconsistent: %v", ErrUnsalvageable, err)
-		}
-		rep.SalvagedInstrs = p.RegionInstrs
-		return p, rep, nil
-	}
-
-	// The recording was cut mid-flight: anchor at the last checkpoint the
-	// surviving schedule covers. Chunk ordering inside a flush (quanta
-	// last) guarantees every event at or before that step survived too.
+// salvageTruncated cuts an interrupted recording at the last divergence
+// checkpoint its surviving schedule covers. Chunk ordering inside a
+// journal flush (quanta last) guarantees every event at or before that
+// step survived too.
+func salvageTruncated(p *Pinball, meta metaV1, lost []byte, rep *SalvageReport) (*Pinball, *SalvageReport, error) {
+	rep.OriginalInstrs = meta.RegionInstrs // 0 unless a full meta survived
 	scheduled := p.TotalQuantumInstrs()
 	anchor := int64(-1)
 	for _, cp := range p.Checkpoints {
@@ -274,8 +243,19 @@ func salvageJournal(data []byte, rep *SalvageReport) (*Pinball, *SalvageReport, 
 		}
 	}
 	if anchor <= 0 {
-		return nil, rep, fmt.Errorf("%w: no intact divergence checkpoint to anchor a truncation (recording covered %d scheduled instructions)",
-			ErrUnsalvageable, scheduled)
+		why := "no intact divergence checkpoint anchors a truncation"
+		for _, id := range lost {
+			if what, critical := replayCritical[id]; critical {
+				why = fmt.Sprintf("the %s frame did not survive, and %s", what, why)
+				break
+			}
+			if id == secSlice && p.Kind == KindSlice {
+				why = "the slice pinball's exclusion/injection frame did not survive, and " + why
+				break
+			}
+		}
+		return nil, rep, fmt.Errorf("%w: %s (the surviving schedule covers %d instructions)",
+			ErrUnsalvageable, why, scheduled)
 	}
 	p.truncateToStep(anchor)
 	rep.Truncated = true
@@ -298,7 +278,6 @@ func salvageRing(parts *journalParts, rep *SalvageReport) (*Pinball, *SalvageRep
 	if len(parts.windows) == 0 {
 		return nil, rep, fmt.Errorf("%w: ring journal has no sealed window to anchor a recovery", ErrUnsalvageable)
 	}
-	p.applyMeta(parts.meta)
 	rep.OriginalInstrs = parts.meta.RegionInstrs // 0 unless the commit frame survived
 
 	var end int64

@@ -171,7 +171,7 @@ type checkpointValidator struct {
 }
 
 // newValidator builds a validator for pb's checkpoints, or returns nil
-// when the pinball has none (legacy files, checkpointing disabled).
+// when the pinball has none (checkpointing was disabled).
 func newValidator(m *vm.Machine, pb *pinball.Pinball, warnOnly bool, onDiv func(Divergence)) *checkpointValidator {
 	if len(pb.Checkpoints) == 0 {
 		return nil

@@ -2,7 +2,6 @@ package pinplay
 
 import (
 	"errors"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/pinball"
@@ -110,35 +109,6 @@ func TestCheckpointingDisabled(t *testing.T) {
 	}
 	if rep.Checked != 0 {
 		t.Fatalf("replay checked %d checkpoints on a checkpoint-free pinball", rep.Checked)
-	}
-}
-
-func TestLegacyPinballReplaysWithoutValidation(t *testing.T) {
-	prog := compileT(t, workerSrc)
-	pb, err := Log(prog, LogConfig{Seed: 3, MeanQuantum: 31}, RegionSpec{})
-	if err != nil {
-		t.Fatalf("log: %v", err)
-	}
-	path := filepath.Join(t.TempDir(), "legacy.pinball")
-	if err := pb.SaveLegacy(path); err != nil {
-		t.Fatalf("save legacy: %v", err)
-	}
-	old, err := pinball.Load(path)
-	if err != nil {
-		t.Fatalf("load legacy: %v", err)
-	}
-	if len(old.Checkpoints) != 0 || old.CheckpointEvery != 0 {
-		t.Fatal("legacy pinball carries checkpoints")
-	}
-	m, rep, err := ReplayWith(prog, old, ReplayOptions{})
-	if err != nil {
-		t.Fatalf("legacy replay: %v", err)
-	}
-	if rep.Checked != 0 {
-		t.Fatalf("legacy replay checked %d checkpoints", rep.Checked)
-	}
-	if out := m.Output(); len(out) != 4 || out[0] != 150 {
-		t.Fatalf("legacy replay output = %v", out)
 	}
 }
 

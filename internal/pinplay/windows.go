@@ -30,15 +30,15 @@ func CollectTrace(prog *isa.Program, pb *pinball.Pinball, limits vm.Limits) (*tr
 // (CheckpointEvery, per PR-1), so shard boundaries line up with the
 // granularity at which replays are already validated: a divergence is
 // pinned to one checkpoint window, and the dependence shards a cached
-// engine holds for the other windows remain trustworthy. Legacy
-// pinballs (no checkpoints recorded) fall back to the default cadence.
+// engine holds for the other windows remain trustworthy. Pinballs
+// recorded without checkpoints fall back to the default cadence.
 func TraceWindows(pb *pinball.Pinball, traceLen int) []tracer.Window {
 	return tracer.SplitWindows(traceLen, WindowSize(pb))
 }
 
 // WindowSize returns the pinball's shard-window size: the recorded
-// divergence-checkpoint cadence, or the default cadence for legacy
-// pinballs.
+// divergence-checkpoint cadence, or the default cadence for pinballs
+// recorded without checkpoints.
 func WindowSize(pb *pinball.Pinball) int {
 	every := int64(pinball.DefaultCheckpointEvery)
 	if pb != nil && pb.CheckpointEvery > 0 {

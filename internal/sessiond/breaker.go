@@ -10,10 +10,10 @@ import (
 	"time"
 )
 
-// BreakerConfig tunes the per-pinball circuit breaker.
+// BreakerConfig tunes a circuit breaker.
 type BreakerConfig struct {
-	// K is the consecutive-failure threshold that opens a pinball's
-	// circuit (default 3; negative disables the breaker).
+	// K is the consecutive-failure threshold that opens a key's circuit
+	// (default 3; negative disables the breaker).
 	K int
 	// Cooldown is how long an opened circuit rejects before letting a
 	// trial request through (default 30s).
@@ -40,17 +40,18 @@ type breakerEntry struct {
 	lastErr  string
 }
 
-// breaker is the per-pinball circuit breaker. Sessions against a
-// pinball whose content has failed K times in a row fail fast with the
-// cached report until the cooldown expires; then one (or a raced few)
-// trial requests pass, and a single further failure re-opens the
-// circuit for another cooldown, while a success closes it.
+// Breaker is a keyed circuit breaker. Requests against a key that has
+// failed K times in a row fail fast with the cached report until the
+// cooldown expires; then one (or a raced few) trial requests pass, and a
+// single further failure re-opens the circuit for another cooldown,
+// while a success closes it.
 //
-// Keys are content digests of the pinball file, not paths: replacing a
-// corrupt file with a good one under the same name closes its circuit
-// instantly, and copying a corrupt file to a new path does not reset
-// its failure history.
-type breaker struct {
+// The server keys it on content digests of the pinball file, not paths:
+// replacing a corrupt file with a good one under the same name closes its
+// circuit instantly, and copying a corrupt file to a new path does not
+// reset its failure history. The fleet coordinator keys a second one on
+// worker names, charged by transport failures only.
+type Breaker struct {
 	cfg BreakerConfig
 	now func() time.Time
 
@@ -58,11 +59,12 @@ type breaker struct {
 	entries map[string]*breakerEntry
 }
 
-func newBreaker(cfg BreakerConfig, now func() time.Time) *breaker {
+// NewBreaker builds a breaker; now is its clock (nil for time.Now).
+func NewBreaker(cfg BreakerConfig, now func() time.Time) *Breaker {
 	if now == nil {
 		now = time.Now
 	}
-	return &breaker{cfg: cfg.withDefaults(), now: now, entries: make(map[string]*breakerEntry)}
+	return &Breaker{cfg: cfg.withDefaults(), now: now, entries: make(map[string]*breakerEntry)}
 }
 
 // pinballContentID digests a pinball file's bytes for breaker keying.
@@ -110,9 +112,9 @@ func RouteKey(req *Request) string {
 	}
 }
 
-// check reports whether the circuit for id is open; when open it
+// Check reports whether the circuit for id is open; when open it
 // returns the cached failure code and message.
-func (b *breaker) check(id string) (open bool, code, msg string) {
+func (b *Breaker) Check(id string) (open bool, code, msg string) {
 	if b.cfg.K < 0 || id == "" {
 		return false, "", ""
 	}
@@ -125,8 +127,8 @@ func (b *breaker) check(id string) (open bool, code, msg string) {
 	return true, e.lastCode, e.lastErr
 }
 
-// success closes id's circuit.
-func (b *breaker) success(id string) {
+// Success closes id's circuit.
+func (b *Breaker) Success(id string) {
 	if b.cfg.K < 0 || id == "" {
 		return
 	}
@@ -135,10 +137,10 @@ func (b *breaker) success(id string) {
 	b.mu.Unlock()
 }
 
-// failure records a session failure attributable to the pinball's
-// content; the K-th consecutive one opens the circuit for the cooldown
-// (and a failed post-cooldown trial re-opens it immediately).
-func (b *breaker) failure(id, code, msg string) {
+// Failure records a failure charged to id with its report; the K-th
+// consecutive one opens the circuit for the cooldown (and a failed
+// post-cooldown trial re-opens it immediately).
+func (b *Breaker) Failure(id, code, msg string) {
 	if b.cfg.K < 0 || id == "" {
 		return
 	}
@@ -156,10 +158,10 @@ func (b *breaker) failure(id, code, msg string) {
 	b.mu.Unlock()
 }
 
-// snapshot reports every tracked circuit's state for the stats op,
+// Snapshot reports every tracked circuit's state for the stats op,
 // sorted by key so the JSON shape is deterministic. Keys are rendered
 // hex (content digests are raw bytes on the wire otherwise).
-func (b *breaker) snapshot() []BreakerState {
+func (b *Breaker) Snapshot() []BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if len(b.entries) == 0 {
@@ -183,8 +185,8 @@ func (b *breaker) snapshot() []BreakerState {
 	return out
 }
 
-// openCount reports how many circuits are currently open.
-func (b *breaker) openCount() int {
+// OpenCount reports how many circuits are currently open.
+func (b *Breaker) OpenCount() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	now := b.now()

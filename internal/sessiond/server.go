@@ -71,7 +71,7 @@ type Server struct {
 	cfg      Config
 	quota    QuotaConfig
 	adm      *admission
-	brk      *breaker
+	brk      *Breaker
 	resolver *storeResolver // nil when no store is configured
 	start    time.Time
 
@@ -112,7 +112,7 @@ func New(c Config) *Server {
 		cfg:        c,
 		quota:      c.Quota.withDefaults(),
 		adm:        newAdmission(c.Admission),
-		brk:        newBreaker(c.Breaker, nil),
+		brk:        NewBreaker(c.Breaker, nil),
 		start:      time.Now(),
 		hardCtx:    ctx,
 		hardCancel: cancel,
@@ -225,7 +225,7 @@ func (s *Server) dispatch(req *Request, remote string, send func(Response)) {
 	// Circuit breaker first: a known-bad pinball fails fast without
 	// consuming a session slot.
 	key := breakerKey(req)
-	if open, code, msg := s.brk.check(key); open {
+	if open, code, msg := s.brk.Check(key); open {
 		s.rejected.Add(1)
 		send(Response{ID: req.ID, OK: false, Code: CodeCircuitOpen,
 			Error: "circuit open for this pinball (last failure " + code + ": " + msg + ")"})
@@ -273,7 +273,7 @@ func (s *Server) dispatch(req *Request, remote string, send func(Response)) {
 			s.failed.Add(1)
 			code := storeErrorCode(rerr)
 			if pinballAttributable(code) {
-				s.brk.failure(key, code, rerr.Error())
+				s.brk.Failure(key, code, rerr.Error())
 			}
 			send(Response{ID: req.ID, OK: false, Code: code, Error: rerr.Error()})
 			return
@@ -306,7 +306,7 @@ func (s *Server) dispatch(req *Request, remote string, send func(Response)) {
 		s.failed.Add(1)
 		code := errorCode(err)
 		if pinballAttributable(code) {
-			s.brk.failure(key, code, err.Error())
+			s.brk.Failure(key, code, err.Error())
 		}
 		var rep *supervisor.Report
 		if res != nil {
@@ -316,7 +316,7 @@ func (s *Server) dispatch(req *Request, remote string, send func(Response)) {
 		return
 	}
 	s.completed.Add(1)
-	s.brk.success(key)
+	s.brk.Success(key)
 	// The session's own degradation annotation wins; otherwise surface
 	// what the store resolution had to do (healed / salvaged).
 	ann := res.annotation
@@ -360,8 +360,8 @@ func (s *Server) stats(req *Request) Response {
 		Failed:        s.failed.Load(),
 		Active:        running,
 		Queued:        queued,
-		BreakersOpen:  s.brk.openCount(),
-		Breakers:      s.brk.snapshot(),
+		BreakersOpen:  s.brk.OpenCount(),
+		Breakers:      s.brk.Snapshot(),
 		EngineEntries: eng.Entries,
 		EngineCap:     slice.EngineCacheCap(),
 		EngineHits:    eng.Hits,

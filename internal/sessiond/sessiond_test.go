@@ -458,7 +458,7 @@ func TestCircuitBreaker(t *testing.T) {
 	if resp.Error == "" {
 		t.Fatal("circuit_open response carries no cached failure")
 	}
-	if n := srv.brk.openCount(); n != 1 {
+	if n := srv.brk.OpenCount(); n != 1 {
 		t.Fatalf("openCount = %d, want 1", n)
 	}
 
@@ -481,35 +481,35 @@ func TestCircuitBreaker(t *testing.T) {
 func TestBreakerCooldownAndReset(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
-	b := newBreaker(BreakerConfig{K: 2, Cooldown: time.Minute}, clock)
+	b := NewBreaker(BreakerConfig{K: 2, Cooldown: time.Minute}, clock)
 
-	b.failure("pb", CodeCorrupt, "bad header")
-	if open, _, _ := b.check("pb"); open {
+	b.Failure("pb", CodeCorrupt, "bad header")
+	if open, _, _ := b.Check("pb"); open {
 		t.Fatal("open before K failures")
 	}
-	b.failure("pb", CodeCorrupt, "bad header")
-	open, code, msg := b.check("pb")
+	b.Failure("pb", CodeCorrupt, "bad header")
+	open, code, msg := b.Check("pb")
 	if !open || code != CodeCorrupt || msg != "bad header" {
 		t.Fatalf("after K failures: open=%v code=%q msg=%q", open, code, msg)
 	}
 
 	// Cooldown expiry lets a trial through...
 	now = now.Add(2 * time.Minute)
-	if open, _, _ := b.check("pb"); open {
+	if open, _, _ := b.Check("pb"); open {
 		t.Fatal("still open after cooldown")
 	}
 	// ...and one more failure re-opens immediately (count retained).
-	b.failure("pb", CodeDivergence, "window 3")
-	if open, code, _ := b.check("pb"); !open || code != CodeDivergence {
+	b.Failure("pb", CodeDivergence, "window 3")
+	if open, code, _ := b.Check("pb"); !open || code != CodeDivergence {
 		t.Fatalf("trial failure did not re-open: open=%v code=%q", open, code)
 	}
 
 	// Success closes for good.
-	b.success("pb")
-	if open, _, _ := b.check("pb"); open {
+	b.Success("pb")
+	if open, _, _ := b.Check("pb"); open {
 		t.Fatal("open after success")
 	}
-	if n := b.openCount(); n != 0 {
+	if n := b.OpenCount(); n != 0 {
 		t.Fatalf("openCount = %d, want 0", n)
 	}
 }

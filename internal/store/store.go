@@ -186,8 +186,8 @@ func (s *Store) appendRecords(recs ...*record) error {
 // chunkSpans splits pinball file bytes at section-frame boundaries:
 // the file header is chunk 0, each framed section (journal chunk
 // frames included) is its own chunk. Files whose framing cannot be
-// walked — legacy v0 or foreign bytes — become a single whole-file
-// chunk, so dedup degrades gracefully instead of refusing.
+// walked — unreadable versions or foreign bytes — become a single
+// whole-file chunk, so dedup degrades gracefully instead of refusing.
 func chunkSpans(data []byte) [][2]int64 {
 	secs, err := pinball.SectionOffsets(data)
 	if err != nil || len(secs) == 0 {
