@@ -37,10 +37,13 @@ bench:
 	$(GO) run ./cmd/drbench -experiment slicebench -workers 4
 
 # One iteration of each parallel slicing-engine benchmark (build and
-# steady-state query on a blackscholes region), so a change that breaks
-# them fails here; the numbers themselves do not gate.
+# steady-state query on a blackscholes region) and of each record and
+# validated-replay benchmark (the mgrid kernel region and the
+# checkpoint-cadence toys), so a change that breaks them fails here; the
+# numbers themselves do not gate.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Parallel' -benchtime 1x ./internal/slice/
+	$(GO) test -run '^$$' -bench 'Replay|Log' -benchtime 1x ./internal/pinplay/
 
 # Crash-injection suite under the race detector: torn files at every
 # section boundary, injected tracer panics, stalled replays, persistent

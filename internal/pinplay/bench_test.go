@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/pinball"
+	"repro/internal/workloads"
 )
 
 // benchSrc is a longer workload (~100k region instructions) so the
@@ -80,3 +82,59 @@ func BenchmarkReplayNoCheckpoints(b *testing.B)      { benchmarkReplay(b, -1, fa
 func BenchmarkReplayCheckpointEvery1k(b *testing.B)  { benchmarkReplay(b, 1_000, false) }
 func BenchmarkReplayCheckpointEvery10k(b *testing.B) { benchmarkReplay(b, 10_000, false) }
 func BenchmarkReplayVerifyDisabled(b *testing.B)     { benchmarkReplay(b, 1_000, true) }
+
+// kernelRegion records the mgrid registry kernel's first 50k main-thread
+// instructions (open-ended input, checkpoints at the default cadence):
+// the call-dense, memory-heavy stream the interpreter's hot path sees
+// in real sessions, unlike the lock-bound benchSrc toy.
+func kernelRegion(b *testing.B) (*isa.Program, LogConfig, RegionSpec, *pinball.Pinball) {
+	b.Helper()
+	w, err := workloads.ByName("mgrid")
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := w.Program()
+	if err != nil {
+		b.Fatalf("compile: %v", err)
+	}
+	cfg := LogConfig{Seed: 5, RandSeed: 5, Input: w.Input(w.DefaultThreads, 1<<40)}
+	spec := RegionSpec{LengthMain: 50_000}
+	pb, err := Log(prog, cfg, spec)
+	if err != nil {
+		b.Fatalf("log: %v", err)
+	}
+	return prog, cfg, spec, pb
+}
+
+// reportPerInstr, called after the timed loop, sets "bytes" to
+// instructions, reports allocations and adds ns/instr.
+func reportPerInstr(b *testing.B, instrs int64) {
+	b.SetBytes(instrs)
+	b.ReportAllocs()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*instrs), "ns/instr")
+}
+
+// BenchmarkLogKernelRegion measures recording the kernel region.
+func BenchmarkLogKernelRegion(b *testing.B) {
+	prog, cfg, spec, pb := kernelRegion(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Log(prog, cfg, spec); err != nil {
+			b.Fatalf("log: %v", err)
+		}
+	}
+	reportPerInstr(b, pb.RegionInstrs)
+}
+
+// BenchmarkReplayKernelRegion measures validated replay of the kernel
+// region.
+func BenchmarkReplayKernelRegion(b *testing.B) {
+	prog, _, _, pb := kernelRegion(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := ReplayWith(prog, pb, ReplayOptions{}); err != nil {
+			b.Fatalf("replay: %v", err)
+		}
+	}
+	reportPerInstr(b, pb.RegionInstrs)
+}

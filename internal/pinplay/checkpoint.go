@@ -45,10 +45,11 @@ func foldEvent(h uint64, ev *vm.InstrEvent) uint64 {
 // threadHash is one thread's rolling state on either side (record or
 // validate).
 type threadHash struct {
-	h   uint64
-	n   int64 // region instructions this thread has executed
-	pos int   // validator: cursor into cps
-	cps []pinball.Checkpoint
+	h    uint64
+	n    int64 // region instructions this thread has executed
+	left int64 // instructions until the next checkpoint (validator: < 0 = none left)
+	pos  int   // validator: cursor into cps
+	cps  []pinball.Checkpoint
 
 	lastIdx  int64 // per-thread index after the last good checkpoint
 	lastStep int64 // global step of the last good checkpoint
@@ -61,24 +62,25 @@ type checkpointer struct {
 	m       *vm.Machine
 	every   int64
 	step    int64
-	threads map[int]*threadHash
+	threads []*threadHash // indexed by tid; nil until the thread executes
 	cps     []pinball.Checkpoint
 }
 
 func newCheckpointer(m *vm.Machine, every int64) *checkpointer {
-	return &checkpointer{m: m, every: every, threads: make(map[int]*threadHash)}
+	return &checkpointer{m: m, every: every, threads: make([]*threadHash, vm.MaxThreads)}
 }
 
 func (c *checkpointer) observe(ev *vm.InstrEvent) {
 	th := c.threads[ev.Tid]
 	if th == nil {
-		th = &threadHash{h: fnv1a.Offset}
+		th = &threadHash{h: fnv1a.Offset, left: c.every}
 		c.threads[ev.Tid] = th
 	}
 	th.h = foldEvent(th.h, ev)
 	th.n++
 	c.step++
-	if th.n%c.every == 0 {
+	if th.left--; th.left == 0 {
+		th.left = c.every
 		t := c.m.Threads[ev.Tid]
 		c.cps = append(c.cps, pinball.Checkpoint{
 			Tid: ev.Tid, Seq: th.n, Idx: ev.Idx, Step: c.step,
@@ -159,7 +161,7 @@ type checkpointValidator struct {
 	vm.NopTracer
 	m       *vm.Machine
 	pb      *pinball.Pinball
-	threads map[int]*threadHash
+	threads []*threadHash // indexed by tid; nil until needed
 	step    int64
 
 	warnOnly bool
@@ -177,34 +179,61 @@ func newValidator(m *vm.Machine, pb *pinball.Pinball, warnOnly bool, onDiv func(
 		return nil
 	}
 	v := &checkpointValidator{
-		m: m, pb: pb, threads: make(map[int]*threadHash),
+		m: m, pb: pb, threads: make([]*threadHash, vm.MaxThreads),
 		warnOnly: warnOnly, onDiv: onDiv,
 	}
 	for _, cp := range pb.Checkpoints {
-		th := v.threads[cp.Tid]
-		if th == nil {
-			th = &threadHash{h: fnv1a.Offset, lastIdx: -1}
-			v.threads[cp.Tid] = th
-		}
+		th := v.thread(cp.Tid)
 		th.cps = append(th.cps, cp)
 	}
+	for _, th := range v.threads {
+		if th != nil {
+			th.aim()
+		}
+	}
 	return v
+}
+
+// aim points the countdown at the thread's next recorded checkpoint. A
+// checkpoint whose Seq the thread has already passed is never reached,
+// which the end-of-replay check reports.
+func (th *threadHash) aim() {
+	th.left = -1
+	if th.pos < len(th.cps) {
+		th.left = th.cps[th.pos].Seq - th.n
+	}
+}
+
+// thread returns tid's state, creating it on first use.
+func (v *checkpointValidator) thread(tid int) *threadHash {
+	th := v.threads[tid]
+	if th == nil {
+		th = &threadHash{h: fnv1a.Offset, lastIdx: -1}
+		v.threads[tid] = th
+	}
+	return th
 }
 
 func (v *checkpointValidator) OnInstr(ev *vm.InstrEvent) {
 	th := v.threads[ev.Tid]
 	if th == nil {
-		th = &threadHash{h: fnv1a.Offset, lastIdx: -1}
-		v.threads[ev.Tid] = th
+		th = v.thread(ev.Tid)
 	}
 	th.h = foldEvent(th.h, ev)
 	th.n++
 	v.step++
-	if th.pos >= len(th.cps) || th.n != th.cps[th.pos].Seq {
-		return
+	if th.left--; th.left == 0 {
+		v.compare(th, ev)
 	}
-	cp := th.cps[th.pos]
+}
+
+// compare checks the replay against th's next recorded checkpoint, which
+// ev has just reached. It is kept out of OnInstr so the per-instruction
+// path stays small.
+func (v *checkpointValidator) compare(th *threadHash, ev *vm.InstrEvent) {
+	cp := &th.cps[th.pos]
 	th.pos++
+	th.aim()
 	v.checked++
 	t := v.m.Threads[ev.Tid]
 	got := th.h
@@ -253,15 +282,16 @@ func (v *checkpointValidator) failed() *Divergence {
 
 // finish performs the end-of-replay check: checkpoints that were never
 // reached mean the replay fell short of the recorded execution (e.g. a
-// tampered, shortened schedule). earlyFailure indicates the replay
-// legitimately stopped at the recorded failure, where trailing
-// checkpoints past the failure point cannot be reached.
+// tampered, shortened schedule). The lowest such thread is reported.
+// earlyFailure indicates the replay legitimately stopped at the recorded
+// failure, where trailing checkpoints past the failure point cannot be
+// reached.
 func (v *checkpointValidator) finish(earlyFailure bool) {
 	if v == nil || earlyFailure {
 		return
 	}
 	for tid, th := range v.threads {
-		if th.pos < len(th.cps) {
+		if th != nil && th.pos < len(th.cps) {
 			cp := th.cps[th.pos]
 			v.record(Divergence{
 				Tid:      tid,

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/pinball"
 	"repro/internal/vm"
+	"repro/internal/workloads"
 )
 
 func TestCheckpointsRecordedAtCadence(t *testing.T) {
@@ -225,5 +226,58 @@ int main() {
 	}
 	if !m.Snapshot().Mem.Equal(full.Snapshot().Mem) {
 		t.Error("slice replay memory differs from full replay")
+	}
+}
+
+// TestUnreachedCheckpointNamesLowestThread cuts a multi-threaded
+// recording's schedule in half, so several threads stop short of their
+// recorded checkpoints. The end-of-replay check must name the same
+// thread every time: the lowest tid with an unreached checkpoint.
+func TestUnreachedCheckpointNamesLowestThread(t *testing.T) {
+	w, err := workloads.ByName("swaptions")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := w.Program()
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	cfg := LogConfig{Seed: 7, RandSeed: 7, Input: w.Input(w.DefaultThreads, 1<<40), CheckpointEvery: 1000}
+	pb, err := Log(prog, cfg, RegionSpec{LengthMain: 20_000})
+	if err != nil {
+		t.Fatalf("log: %v", err)
+	}
+	pb.Quanta = pb.Quanta[:len(pb.Quanta)/2]
+
+	// Instructions each thread executes under the shortened schedule.
+	ran := map[int]int64{}
+	for _, q := range pb.Quanta {
+		ran[q.Tid] += q.Count
+	}
+	want, unreached := -1, 0
+	for tid := 0; tid < vm.MaxThreads; tid++ {
+		for _, cp := range pb.Checkpoints {
+			if cp.Tid == tid && cp.Seq > ran[tid] {
+				if want < 0 {
+					want = tid
+				}
+				unreached++
+				break
+			}
+		}
+	}
+	if unreached < 2 {
+		t.Fatalf("%d threads with unreached checkpoints, want several", unreached)
+	}
+
+	for i := 0; i < 40; i++ {
+		_, _, err := ReplayWith(prog, pb, ReplayOptions{})
+		var de *DivergenceError
+		if !errors.As(err, &de) {
+			t.Fatalf("replay %d: error = %v, want DivergenceError", i, err)
+		}
+		if de.Div.Tid != want {
+			t.Fatalf("replay %d named thread %d, want the lowest unreached thread %d: %v", i, de.Div.Tid, want, de)
+		}
 	}
 }

@@ -310,10 +310,12 @@ func (v *checkpointValidator) clone() *checkpointValidator {
 		return nil
 	}
 	out := *v
-	out.threads = make(map[int]*threadHash, len(v.threads))
+	out.threads = make([]*threadHash, len(v.threads))
 	for tid, th := range v.threads {
-		cp := *th
-		out.threads[tid] = &cp
+		if th != nil {
+			cp := *th
+			out.threads[tid] = &cp
+		}
 	}
 	out.divs = slices.Clone(v.divs)
 	if v.fatal != nil {

@@ -26,13 +26,19 @@ func (m *Machine) step(t *Thread) (blocked bool) {
 		m.fail(t, t.Count, "pc %d outside code", t.PC)
 		return false
 	}
-	in := m.Prog.Code[t.PC]
+	in := &m.Prog.Code[t.PC]
 	idx := t.Count
 
-	// Event skeleton; filled in by the opcode cases when tracing.
+	// Event skeleton, written field by field into the reused event (a
+	// composite-literal assignment through the pointer would zero and
+	// copy the whole struct every step). The opcode cases fill in the
+	// rest; every field they may set is reset here, except NextPC, which
+	// each delivering path sets.
 	ev := &m.ev
 	if m.tracing {
-		*ev = InstrEvent{Tid: t.ID, PC: t.PC, Idx: idx, Instr: in, EffAddr: -1}
+		ev.Tid, ev.PC, ev.Idx, ev.Instr = t.ID, t.PC, idx, *in
+		ev.EffAddr, ev.MemIsWrite, ev.MemAlsoRead, ev.MemVal = -1, false, false, 0
+		ev.Taken, ev.Aux = false, 0
 	}
 
 	nextPC := t.PC + 1
