@@ -59,15 +59,19 @@ SOAK_REQS ?= 12
 soak:
 	DRDEBUG_SOAK_REQS=$(SOAK_REQS) $(GO) test -race -count=1 -run TestChaosSoak -v ./internal/sessiond/
 
-# Native fuzzing of the pinball decoders, FUZZTIME per target: Decode
-# must fail with a typed error or round-trip its pinball's digest, and
-# Salvage must fail typed or return a pinball that passes Validate. The
-# seed corpus is every pinball kind's Save encoding, the version 2
-# fixtures and every file corruptor's output.
+# Native fuzzing, FUZZTIME per target. Decode must fail with a typed
+# error or round-trip its pinball's digest, and Salvage must fail typed
+# or return a pinball that passes Validate; their seed corpus is every
+# pinball kind's Save encoding, the version 2 fixtures and every file
+# corruptor's output. A slice shard hop over an arbitrary wire query
+# state (the state every daemon slice runs through) must reject it with
+# ErrBadState or answer a state the next hop accepts; its seeds are real
+# shard-chain states and the malformed states the shard tests pin.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/pinball/
 	$(GO) test -run '^$$' -fuzz '^FuzzSalvage$$' -fuzztime $(FUZZTIME) ./internal/pinball/
+	$(GO) test -run '^$$' -fuzz '^FuzzSliceShardState$$' -fuzztime $(FUZZTIME) ./internal/slice/
 
 # Multi-process fleet chaos soak: a real drserved coordinator fronting
 # three real drserved workers, 100 concurrent clients, one worker

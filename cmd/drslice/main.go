@@ -183,32 +183,16 @@ func writeSliceHTML(sess *drdebug.Session, sl *drdebug.Slice, srcPath, htmlOut s
 
 // renderSliceHTML writes the HTML report for a computed slice.
 func renderSliceHTML(sess *drdebug.Session, sl *drdebug.Slice, sources map[string]string, w io.Writer) error {
-	f, err := sliceFileOf(sess, sl)
+	f, err := sess.SliceFile(sl)
 	if err != nil {
 		return err
 	}
 	return f.WriteHTML(w, sources)
 }
 
-// sliceFileOf converts a computed slice into its persistable form via a
-// temporary file.
-func sliceFileOf(sess *drdebug.Session, sl *drdebug.Slice) (*drdebug.SliceFile, error) {
-	tmp, err := os.CreateTemp("", "drslice-*.slice")
-	if err != nil {
-		return nil, err
-	}
-	tmpPath := tmp.Name()
-	tmp.Close()
-	defer os.Remove(tmpPath)
-	if err := sess.SaveSlice(sl, tmpPath); err != nil {
-		return nil, err
-	}
-	return drdebug.LoadSliceFile(tmpPath)
-}
-
 // writeSliceText renders the slice in the human-readable slice-file form.
 func writeSliceText(sess *drdebug.Session, sl *drdebug.Slice, w io.Writer) error {
-	f, err := sliceFileOf(sess, sl)
+	f, err := sess.SliceFile(sl)
 	if err != nil {
 		return err
 	}

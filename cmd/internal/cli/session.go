@@ -1,10 +1,6 @@
 package cli
 
-import (
-	"time"
-
-	"repro/internal/sessiond"
-)
+import "repro/internal/sessiond"
 
 // SessionClient talks the sessiond line-JSON protocol to a drserved
 // instance. The implementation lives in internal/sessiond (the fleet's
@@ -15,11 +11,6 @@ type SessionClient = sessiond.Client
 // DialSession connects to a drserved instance.
 func DialSession(addr string) (*SessionClient, error) {
 	return sessiond.Dial(addr)
-}
-
-// DialSessionTimeout is DialSession with a connect timeout.
-func DialSessionTimeout(addr string, d time.Duration) (*SessionClient, error) {
-	return sessiond.DialTimeout(addr, d)
 }
 
 // SessionExitCode maps a sessiond response onto the shared exit-code

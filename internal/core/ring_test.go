@@ -290,8 +290,8 @@ func TestRingStepTableMatchesPerInstructionSteps(t *testing.T) {
 		t.Fatal("ring trace carries no gap spans")
 	}
 	rec := &stepRecorder{steps: map[int][]int64{}}
-	m := ring.ReplayMachine(rec)
-	for i := 0; i < tr.Len() && m.StepOne(); i++ {
+	if _, err := ring.Replay(rec); err != nil {
+		t.Fatal(err)
 	}
 
 	counts := map[tracer.Provenance]int{}

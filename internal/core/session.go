@@ -8,6 +8,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/dualslice"
@@ -186,19 +187,6 @@ func LoadSessionSalvage(prog *isa.Program, pinballPath string) (*Session, *pinba
 	return Open(prog, pb), rep, nil
 }
 
-// ReplayMachine returns an un-run machine positioned at region entry; the
-// interactive debugger drives it instruction by instruction. For a
-// flight-recorder pinball the machine replays the materialised effective
-// pinball; if bridging fails the original gapped pinball is used and the
-// machine will surface the inconsistency as divergence.
-func (s *Session) ReplayMachine(t vm.Tracer) *vm.Machine {
-	pb, err := s.effective()
-	if err != nil {
-		pb = s.Pinball
-	}
-	return pinplay.NewReplayMachine(s.Prog, pb, t)
-}
-
 // Trace returns the session's dynamic-information trace (def/use events,
 // shared-memory order, global trace): the trace of the session's
 // slicing engine (see ParallelSlicer). Every replay of one recording
@@ -270,47 +258,57 @@ func (s *Session) ParallelSlicer() (*slice.ParallelSlicer, error) {
 // SliceAtFailure computes the backward slice of the failure point (the
 // failing thread's last instruction, e.g. the assert).
 func (s *Session) SliceAtFailure() (*slice.Slice, error) {
-	if s.Pinball.Failure == nil {
-		return nil, fmt.Errorf("core: session's pinball captured no failure")
-	}
-	tr, err := s.Trace()
-	if err != nil {
-		return nil, err
-	}
-	crit, err := slice.LastEventOf(tr, s.Pinball.Failure.Tid)
+	crit, err := s.ResolveCriterion("", 0, 0, 0)
 	if err != nil {
 		return nil, err
 	}
 	return s.SliceFor(crit)
 }
 
+// ErrBadCriterion reports a slice criterion that does not resolve in the
+// session's recording: an unknown variable, a line instance or a read
+// that never executed, or a failure the pinball did not capture. It is
+// the request's fault, so retrying cannot help.
+var ErrBadCriterion = errors.New("core: bad slice criterion")
+
 // ResolveCriterion maps a request-level criterion spec — a global
 // variable name, a dynamic source-line instance, or (neither given) the
 // recorded failure point — onto its trace reference, without slicing.
-// The fleet's distributed shard runner resolves once and then carries
-// the reference inside the query state from worker to worker.
+// An unknown variable or a pinball without a failure is rejected before
+// the trace is built, so a bad request costs no replay. The daemon
+// resolves once per query; the fleet then carries the reference inside
+// the query state from worker to worker. Every rejection wraps
+// ErrBadCriterion.
 func (s *Session) ResolveCriterion(varName string, tid int, line int32, nth int) (tracer.Ref, error) {
-	tr, err := s.Trace()
-	if err != nil {
-		return tracer.Ref{}, err
-	}
+	var addr int64
 	switch {
 	case varName != "":
 		sym := s.Prog.SymbolByName(varName)
 		if sym == nil {
-			return tracer.Ref{}, fmt.Errorf("core: no global variable %q", varName)
+			return tracer.Ref{}, fmt.Errorf("%w: no global variable %q", ErrBadCriterion, varName)
 		}
-		return slice.LastReadOf(tr, sym.Addr)
+		addr = sym.Addr
 	case line > 0:
-		if nth <= 0 {
-			nth = 1
-		}
-		return slice.EventAtLine(tr, s.Prog, tid, line, nth)
+	case s.Pinball.Failure == nil:
+		return tracer.Ref{}, fmt.Errorf("%w: the pinball captured no failure", ErrBadCriterion)
 	}
-	if s.Pinball.Failure == nil {
-		return tracer.Ref{}, fmt.Errorf("core: session's pinball captured no failure")
+	tr, err := s.Trace()
+	if err != nil {
+		return tracer.Ref{}, err
 	}
-	return slice.LastEventOf(tr, s.Pinball.Failure.Tid)
+	var crit tracer.Ref
+	switch {
+	case varName != "":
+		crit, err = slice.LastReadOf(tr, addr)
+	case line > 0:
+		crit, err = slice.EventAtLine(tr, s.Prog, tid, line, max(nth, 1))
+	default:
+		crit, err = slice.LastEventOf(tr, s.Pinball.Failure.Tid)
+	}
+	if err != nil {
+		return tracer.Ref{}, fmt.Errorf("%w: %v", ErrBadCriterion, err)
+	}
+	return crit, nil
 }
 
 // SliceFor computes the backward slice for an arbitrary criterion. For
@@ -335,15 +333,10 @@ func (s *Session) SliceFor(crit tracer.Ref) (*slice.Slice, error) {
 // SliceForVariable computes the slice of the last read of a named global
 // variable — the "slice for any interested variable" workflow.
 func (s *Session) SliceForVariable(name string) (*slice.Slice, error) {
-	sym := s.Prog.SymbolByName(name)
-	if sym == nil {
-		return nil, fmt.Errorf("core: no global variable %q", name)
+	if name == "" {
+		return nil, fmt.Errorf("%w: no global variable %q", ErrBadCriterion, name)
 	}
-	tr, err := s.Trace()
-	if err != nil {
-		return nil, err
-	}
-	crit, err := slice.LastReadOf(tr, sym.Addr)
+	crit, err := s.ResolveCriterion(name, 0, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -439,15 +432,26 @@ func DualSlice(failing, passing *Session, varName string) (*dualslice.Diff, erro
 	return dualslice.Compare(failing.Prog, ftr, fsl, ptr, psl), nil
 }
 
+// SliceFile converts a slice into its persistable, session-independent
+// form: members, dependences and exclusion regions in replay-stable
+// coordinates. Saving it, printing it and rendering it as HTML all start
+// here.
+func (s *Session) SliceFile(sl *slice.Slice) (*slice.File, error) {
+	tr, err := s.Trace()
+	if err != nil {
+		return nil, err
+	}
+	return slice.ToFile(s.Prog, tr, sl, slice.BuildExclusions(tr, sl)), nil
+}
+
 // SaveSlice persists a slice (with its exclusion regions) so it can be
 // reused across debug sessions.
 func (s *Session) SaveSlice(sl *slice.Slice, path string) error {
-	tr, err := s.Trace()
+	f, err := s.SliceFile(sl)
 	if err != nil {
 		return err
 	}
-	ex := slice.BuildExclusions(tr, sl)
-	return slice.ToFile(s.Prog, tr, sl, ex).Save(path)
+	return f.Save(path)
 }
 
 // LoadSlice loads a previously saved slice and resolves it against this

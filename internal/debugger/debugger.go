@@ -873,12 +873,11 @@ func (d *Debugger) cmdSlice(args []string) error {
 		if d.curSlice == nil {
 			return fmt.Errorf("no current slice")
 		}
-		tr, err := d.sess.Trace()
+		f, err := d.sess.SliceFile(d.curSlice)
 		if err != nil {
 			return err
 		}
-		ex := slice.BuildExclusions(tr, d.curSlice)
-		return slice.ToFile(d.prog, tr, d.curSlice, ex).WriteText(d.out)
+		return f.WriteText(d.out)
 	case "html":
 		if len(args) != 2 {
 			return fmt.Errorf("usage: slice html <path>")
@@ -886,17 +885,16 @@ func (d *Debugger) cmdSlice(args []string) error {
 		if d.curSlice == nil {
 			return fmt.Errorf("no current slice")
 		}
-		tr, err := d.sess.Trace()
+		f, err := d.sess.SliceFile(d.curSlice)
 		if err != nil {
 			return err
 		}
-		ex := slice.BuildExclusions(tr, d.curSlice)
 		w, err := os.Create(args[1])
 		if err != nil {
 			return err
 		}
 		defer w.Close()
-		if err := slice.ToFile(d.prog, tr, d.curSlice, ex).WriteHTML(w, nil); err != nil {
+		if err := f.WriteHTML(w, nil); err != nil {
 			return err
 		}
 		fmt.Fprintf(d.out, "HTML slice report written to %s\n", args[1])

@@ -26,34 +26,15 @@ func (p *Partition) Allow() bool { return !p.cut.Load() }
 // HeartbeatDropper suppresses a worker's heartbeats — the "alive but
 // looks dead" fault that must trigger dead-worker re-dispatch without
 // losing the worker's in-flight results. It has the contract of the
-// fleet agent's BeatHook: Allow is called once per beat and consumes
-// one pending drop.
+// fleet agent's BeatHook: Allow is called once per beat.
 type HeartbeatDropper struct {
-	pending atomic.Int64
 	forever atomic.Bool
 }
-
-// DropNext suppresses the next n heartbeats.
-func (d *HeartbeatDropper) DropNext(n int64) { d.pending.Add(n) }
 
 // Forever suppresses every heartbeat from now on (a silent worker);
 // Resume undoes it.
 func (d *HeartbeatDropper) Forever() { d.forever.Store(true) }
 func (d *HeartbeatDropper) Resume()  { d.forever.Store(false) }
 
-// Allow reports whether this beat may be sent, consuming one pending
-// drop when not.
-func (d *HeartbeatDropper) Allow() bool {
-	if d.forever.Load() {
-		return false
-	}
-	for {
-		n := d.pending.Load()
-		if n <= 0 {
-			return true
-		}
-		if d.pending.CompareAndSwap(n, n-1) {
-			return false
-		}
-	}
-}
+// Allow reports whether this beat may be sent.
+func (d *HeartbeatDropper) Allow() bool { return !d.forever.Load() }

@@ -80,6 +80,3 @@ func (c *SessionChaos) Tracer(op string) vm.Tracer {
 	}
 	return nil
 }
-
-// Injected reports how many sessions have drawn from the chaos schedule.
-func (c *SessionChaos) Injected() int64 { return c.n.Load() }

@@ -442,47 +442,65 @@ func (co *Coordinator) route(req *sessiond.Request) sessiond.Response {
 }
 
 // forward sends req whole to the rendezvous owner of key, failing over
-// to the next-ranked live worker with capped decorrelated-jitter
-// backoff on transport errors. Typed failures pass through unchanged —
-// they are the session's own answer, not the fleet's. A success that
-// needed failover is annotated CodeRedispatched (unless the session
-// already carries a stronger annotation like salvaged/degraded).
+// to the next-ranked live worker on transport errors (see failover).
+// Typed failures pass through unchanged — they are the session's own
+// answer, not the fleet's. A success that needed failover is annotated
+// CodeRedispatched (unless the session already carries a stronger
+// annotation like salvaged/degraded).
 func (co *Coordinator) forward(req *sessiond.Request, key string) sessiond.Response {
+	resp, retried, sent := co.failover(req, key, nil)
+	if sent && retried {
+		co.redispatches.Add(1)
+		if resp.OK && resp.Code == "" {
+			resp.Code = sessiond.CodeRedispatched
+		}
+	}
+	resp.ID = req.ID
+	return *resp
+}
+
+// failover is the pick → send → backoff loop of every push to a worker:
+// it tries up to MaxAttempts distinct live workers in rendezvous order
+// for key, sleeping a capped decorrelated-jitter backoff between
+// attempts, until one answers. It returns that answer and whether it
+// needed more than one attempt; when no worker answered (sent false) it
+// returns the typed no-workers failure instead. With a hedged task t,
+// every attempt counts as a dispatch and the loop stops once the task
+// is answered elsewhere.
+func (co *Coordinator) failover(req *sessiond.Request, key string, t *task) (resp *sessiond.Response, retried, sent bool) {
 	tried := make(map[string]bool)
 	var backoff time.Duration
 	var lastErr error
-	redispatched := false
-	for attempt := 0; attempt < co.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < co.cfg.MaxAttempts && (t == nil || !t.done.Load()); attempt++ {
 		if attempt > 0 {
 			backoff = supervisor.DecorrelatedJitter(backoff, co.cfg.RetryBase, co.cfg.RetryMax, co.cfg.Rand)
 			co.cfg.Sleep(backoff)
-			redispatched = true
 		}
 		w, ok := co.pick(key, tried)
 		if !ok {
 			break
 		}
-		resp, err := co.send(w, req, nil)
-		if err != nil {
+		if t != nil {
+			t.dispatches.Add(1)
+		}
+		resp, err := co.send(w, req, t)
+		if err == nil {
+			return resp, attempt > 0, true
+		}
+		switch {
+		case t == nil:
 			co.cfg.Logf("fleet: forward %s to %s failed: %v", req.Op, w.Name, err)
-			tried[w.Name] = true
-			lastErr = err
-			continue
+		case !t.done.Load():
+			co.cfg.Logf("fleet: shard %s on %s failed: %v", t.id, w.Name, err)
 		}
-		if redispatched {
-			co.redispatches.Add(1)
-			if resp.OK && resp.Code == "" {
-				resp.Code = sessiond.CodeRedispatched
-			}
-		}
-		resp.ID = req.ID
-		return *resp
+		tried[w.Name] = true
+		lastErr = err
 	}
 	msg := "no live worker to route to"
 	if lastErr != nil {
 		msg = fmt.Sprintf("no worker answered after %d attempts: %v", co.cfg.MaxAttempts, lastErr)
 	}
-	return sessiond.Response{ID: req.ID, OK: false, Code: sessiond.CodeNoWorkers, Error: msg}
+	return &sessiond.Response{OK: false, Code: sessiond.CodeNoWorkers, Error: msg}, false, false
 }
 
 // The per-worker transport circuit breaker: workerBreakerK consecutive
@@ -619,14 +637,7 @@ func (co *Coordinator) distributedSlice(req *sessiond.Request, key string) sessi
 				}
 			}
 			return sessiond.Response{ID: req.ID, OK: true, Code: code, Report: resp.Report,
-				Result: encode(sessiond.SliceResult{
-					Members:        sr.Members,
-					TraceLen:       sr.TraceLen,
-					Deps:           int(sr.Deps),
-					PrunedBypasses: int(sr.Pruned),
-					Digest:         sr.Digest,
-					Prov:           sr.Prov,
-				})}
+				Result: encode(sr.SliceResult())}
 		}
 		state = sr.State
 	}
@@ -675,44 +686,16 @@ func (co *Coordinator) runShard(sreq *sessiond.Request, key string) (sessiond.Re
 	}
 }
 
-// pushShard is a hop's push path: the forward loop, but delivering into
+// pushShard is a hop's push path: the failover loop, delivering into
 // the task so a stolen duplicate can win instead. If every push attempt
 // fails on transport and the task was never offered for stealing, the
 // push delivers the typed failure itself — nobody else will.
 func (co *Coordinator) pushShard(t *task, key string) {
-	tried := make(map[string]bool)
-	var backoff time.Duration
-	var lastErr error
-	for attempt := 0; attempt < co.cfg.MaxAttempts && !t.done.Load(); attempt++ {
-		if attempt > 0 {
-			backoff = supervisor.DecorrelatedJitter(backoff, co.cfg.RetryBase, co.cfg.RetryMax, co.cfg.Rand)
-			co.cfg.Sleep(backoff)
-		}
-		w, ok := co.pick(key, tried)
-		if !ok {
-			break
-		}
-		t.dispatches.Add(1)
-		resp, err := co.send(w, t.req, t)
-		if err != nil {
-			if !t.done.Load() {
-				co.cfg.Logf("fleet: shard %s on %s failed: %v", t.id, w.Name, err)
-			}
-			tried[w.Name] = true
-			lastErr = err
-			continue
-		}
-		t.deliver(resp)
-		return
-	}
-	if t.offered.Load() {
+	resp, _, sent := co.failover(t.req, key, t)
+	if !sent && t.offered.Load() {
 		return // a stealer may still answer; the backstop bounds the wait
 	}
-	msg := "no live worker to route to"
-	if lastErr != nil {
-		msg = fmt.Sprintf("no worker answered after %d attempts: %v", co.cfg.MaxAttempts, lastErr)
-	}
-	t.deliver(&sessiond.Response{OK: false, Code: sessiond.CodeNoWorkers, Error: msg})
+	t.deliver(resp)
 }
 
 func (co *Coordinator) health(req *sessiond.Request) sessiond.Response {

@@ -437,6 +437,9 @@ int main() {
 type fleetFixture struct {
 	src  string
 	good string
+	// ring is the same execution recorded in flight-recorder mode with
+	// windows evicted: its slices carry provenance.
+	ring string
 }
 
 func makeFleetFixture(t testing.TB) *fleetFixture {
@@ -445,6 +448,7 @@ func makeFleetFixture(t testing.TB) *fleetFixture {
 	f := &fleetFixture{
 		src:  filepath.Join(dir, "fleet.c"),
 		good: filepath.Join(dir, "good.pinball"),
+		ring: filepath.Join(dir, "ring.pinball"),
 	}
 	if err := os.WriteFile(f.src, []byte(fleetSrc), 0o644); err != nil {
 		t.Fatal(err)
@@ -457,14 +461,21 @@ func makeFleetFixture(t testing.TB) *fleetFixture {
 	for i := range input {
 		input[i] = int64(i + 1)
 	}
-	pb, err := pinplay.Log(prog, pinplay.LogConfig{
-		Seed: 7, MeanQuantum: 13, Input: input, CheckpointEvery: 8,
-	}, pinplay.RegionSpec{})
-	if err != nil {
-		t.Fatalf("log: %v", err)
-	}
-	if err := pb.Save(f.good); err != nil {
-		t.Fatal(err)
+	for _, path := range []string{f.good, f.ring} {
+		cfg := pinplay.LogConfig{Seed: 7, MeanQuantum: 13, Input: input, CheckpointEvery: 8}
+		if path == f.ring {
+			cfg.RingBytes, cfg.JournalEvery = 400, 200
+		}
+		pb, err := pinplay.Log(prog, cfg, pinplay.RegionSpec{})
+		if err != nil {
+			t.Fatalf("log: %v", err)
+		}
+		if pb.Gapped() != (path == f.ring) {
+			t.Fatalf("%s: gapped = %v", path, pb.Gapped())
+		}
+		if err := pb.Save(path); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return f
 }
@@ -586,6 +597,45 @@ func TestFleetDistributedSliceBitIdentical(t *testing.T) {
 	}
 	if st.Active != 2 || st.Completed < 4 {
 		t.Fatalf("fleet stats: %+v", st)
+	}
+}
+
+// TestFleetRingSliceByteIdentical: on a gapped flight-recorder pinball,
+// whose slices carry provenance, a single node's slice answer and a
+// two-worker fleet's shard-chain answer are the same bytes — provenance
+// included — so the answer does not depend on how many workers are
+// alive.
+func TestFleetRingSliceByteIdentical(t *testing.T) {
+	f := makeFleetFixture(t)
+	req := sessiond.Request{Op: sessiond.OpSlice, File: f.src, Pinball: f.ring, Var: "counter", Workers: 2}
+
+	single := sessiond.New(fastWorkerConfig()).Execute(&req, "ref")
+	if !single.OK {
+		t.Fatalf("single-node slice: %+v", single)
+	}
+	var sr sessiond.SliceResult
+	if err := json.Unmarshal(single.Result, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if sr.Prov == nil || sr.Prov.BridgedMembers == 0 {
+		t.Fatalf("ring slice carries no bridged provenance: %+v", sr)
+	}
+
+	co, addr := startCoordinator(t, Config{HeartbeatInterval: 50 * time.Millisecond, ShardWindows: 2})
+	startWorker(t, "w1", addr, nil)
+	startWorker(t, "w2", addr, nil)
+	waitAlive(t, co, 2)
+	c, err := sessiond.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fleet, err := c.Do(&req)
+	if err != nil || !fleet.OK {
+		t.Fatalf("fleet slice: %+v, %v", fleet, err)
+	}
+	if string(fleet.Result) != string(single.Result) {
+		t.Fatalf("fleet answered\n%s\nsingle node answered\n%s", fleet.Result, single.Result)
 	}
 }
 

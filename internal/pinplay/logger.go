@@ -183,6 +183,9 @@ func Log(prog *isa.Program, cfg LogConfig, spec RegionSpec) (*pinball.Pinball, e
 		// Flight-recorder mode: capture the scheduler/environment state the
 		// region continues from, so evicted windows stay re-derivable.
 		if err := rec.EnableRing(cfg.RingBytes, cfg.RingSample, cfg.JournalEvery, captureRecipe(m, sched, env, cfg.Input)); err != nil {
+			// Leave the partial journal for Salvage; err, not a close
+			// failure, is what the caller must see.
+			_ = rec.AbortJournal()
 			return nil, err
 		}
 	}
@@ -352,8 +355,18 @@ func (r *Recorder) flushJournal() {
 	if r.jw == nil {
 		return
 	}
+	dq, dc := r.takeDeltas()
+	ds := r.tracer.syscalls[r.sIdx:]
+	de := r.tracer.edges[r.eIdx:]
+	r.sIdx, r.eIdx = len(r.tracer.syscalls), len(r.tracer.edges)
+	r.jw.AppendChunk(dq, ds, de, dc)
+}
+
+// takeDeltas returns the quanta and checkpoints recorded since its
+// previous call and advances past them. The machine's last quantum may
+// still be open: only its count beyond what was already taken is new.
+func (r *Recorder) takeDeltas() (dq []vm.Quantum, dc []pinball.Checkpoint) {
 	q := r.m.Quanta()
-	var dq []vm.Quantum
 	for i := r.qIdx; i < len(q); i++ {
 		e := q[i]
 		if i == r.qIdx {
@@ -366,15 +379,11 @@ func (r *Recorder) flushJournal() {
 	if n := len(q); n > 0 {
 		r.qIdx, r.qOff = n-1, q[n-1].Count
 	}
-	ds := r.tracer.syscalls[r.sIdx:]
-	de := r.tracer.edges[r.eIdx:]
-	r.sIdx, r.eIdx = len(r.tracer.syscalls), len(r.tracer.edges)
-	var dc []pinball.Checkpoint
 	if ck := r.tracer.ck; ck != nil {
 		dc = ck.cps[r.cIdx:]
 		r.cIdx = len(ck.cps)
 	}
-	r.jw.AppendChunk(dq, ds, de, dc)
+	return dq, dc
 }
 
 // CommitJournal flushes the recording's tail and seals the journal with

@@ -13,9 +13,9 @@ import (
 // exclusion regions and produces a slice pinball: the new schedule covers
 // only the included instructions, and each skipped region is summarised
 // as a side-effect injection (its final register file, continuation pc
-// and the memory cells it modified). This is PinPlay's relogger with the
-// side-effects detection it uses for system calls, applied to excluded
-// code regions (paper Section 4).
+// and the values, at the region's end, of the memory cells it modified).
+// This is PinPlay's relogger with the side-effects detection it uses
+// for system calls, applied to excluded code regions (paper Section 4).
 //
 // The exclusion list must be sorted by (Tid, FromIdx) and non-overlapping
 // per thread; slice.BuildExclusions produces it in that form.
@@ -52,7 +52,7 @@ func RelogWith(prog *isa.Program, pb *pinball.Pinball, exclusions []pinball.Excl
 	rt := &relogTracer{
 		perThread: perThread,
 		pos:       make([]int, len(perThread)),
-		mem:       make([]map[int64]int64, len(perThread)),
+		mem:       make([]map[int64]struct{}, len(perThread)),
 	}
 	opts.Tracer = rt
 	c := NewCursor(prog, pb, opts)
@@ -97,8 +97,9 @@ type relogTracer struct {
 	perThread [][]pinball.Exclusion
 	pos       []int // per-thread cursor into perThread
 
-	// Side-effect detection for the currently open exclusion per thread.
-	mem []map[int64]int64
+	// Side-effect detection for the currently open exclusion per thread:
+	// the addresses its excluded instructions wrote.
+	mem []map[int64]struct{}
 
 	included     int64
 	includedMain int64
@@ -165,14 +166,17 @@ func (r *relogTracer) OnInstr(ev *vm.InstrEvent) {
 	if ev.EffAddr >= 0 && ev.MemIsWrite {
 		mw := r.mem[ev.Tid]
 		if mw == nil {
-			mw = make(map[int64]int64)
+			mw = make(map[int64]struct{})
 			r.mem[ev.Tid] = mw
 		}
-		mw[ev.EffAddr] = ev.MemVal
+		mw[ev.EffAddr] = struct{}{}
 	}
 	if ev.Idx+1 == excl.ToIdx {
 		// Last excluded instruction of the region: summarise it as an
-		// injection at the current position in the new schedule.
+		// injection at the current position in the new schedule. Each
+		// written cell is injected with the value it holds now, not with
+		// this region's last write to it: another thread may have stored
+		// to the cell since, and the injection must not undo that store.
 		t := r.m.Threads[ev.Tid]
 		inj := pinball.Injection{
 			AtStep:   r.included,
@@ -188,7 +192,7 @@ func (r *relogTracer) OnInstr(ev *vm.InstrEvent) {
 		}
 		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 		for _, a := range addrs {
-			inj.Mem = append(inj.Mem, pinball.MemWrite{Addr: a, Val: mw[a]})
+			inj.Mem = append(inj.Mem, pinball.MemWrite{Addr: a, Val: r.m.Mem.Read(a)})
 		}
 		clear(mw)
 		r.injections = append(r.injections, inj)

@@ -117,27 +117,9 @@ func (r *Recorder) sealRingWindow(final bool) {
 	if rs.step == rs.sealedTo {
 		return
 	}
-	q := r.m.Quanta()
-	var dq []vm.Quantum
-	for i := r.qIdx; i < len(q); i++ {
-		e := q[i]
-		if i == r.qIdx {
-			e.Count -= r.qOff
-		}
-		if e.Count > 0 {
-			dq = append(dq, e)
-		}
-	}
-	if n := len(q); n > 0 {
-		r.qIdx, r.qOff = n-1, q[n-1].Count
-	}
+	dq, dc := r.takeDeltas()
 	ds, de := r.tracer.syscalls, r.tracer.edges
 	r.tracer.syscalls, r.tracer.edges = nil, nil
-	var dc []pinball.Checkpoint
-	if ck := r.tracer.ck; ck != nil {
-		dc = ck.cps[r.cIdx:]
-		r.cIdx = len(ck.cps)
-	}
 
 	w := ringWindow{
 		id: rs.nextID, fromStep: rs.sealedTo, toStep: rs.step,

@@ -259,8 +259,12 @@ type SliceResult struct {
 	Deps           int    `json:"deps"`
 	PrunedBypasses int    `json:"pruned_bypasses,omitempty"`
 	Digest         string `json:"digest,omitempty"`
-	// Prov is the provenance breakdown for slices over flight-recorder
-	// pinballs (nil for ordinary full traces).
+	// Prov is the member-level provenance breakdown for slices over
+	// flight-recorder pinballs (nil for ordinary full traces), the one
+	// slice.SummarizeProvenance derives from the finished query state:
+	// member counts and the minimum member confidence. Edge counts stay
+	// zero — a fleet's shard hops carry edges in digest form only, and a
+	// single node answers from the same query state, so both agree.
 	Prov *slice.ProvSummary `json:"provenance,omitempty"`
 }
 
@@ -366,6 +370,19 @@ type ShardResult struct {
 	// Prov is the member-level provenance breakdown when the sliced
 	// recording was gapped (flight-recorder mode); nil otherwise.
 	Prov *slice.ProvSummary `json:"provenance,omitempty"`
+}
+
+// SliceResult is the OpSlice answer of a Done shard: the whole-slice
+// payload a single node and a fleet's shard chain both send.
+func (r ShardResult) SliceResult() SliceResult {
+	return SliceResult{
+		Members:        r.Members,
+		TraceLen:       r.TraceLen,
+		Deps:           int(r.Deps),
+		PrunedBypasses: int(r.Pruned),
+		Digest:         r.Digest,
+		Prov:           r.Prov,
+	}
 }
 
 // StorePutResult is OpStorePut's payload. Replicas lists the workers

@@ -237,65 +237,19 @@ func (r *runner) replay(req *Request, limits vm.Limits) (*sessionResult, error) 
 	return out, nil
 }
 
+// slice answers a whole slice query: one query run from the criterion
+// to the start of the trace.
 func (r *runner) slice(req *Request, limits vm.Limits) (*sessionResult, error) {
-	prog, err := loadProgram(req)
-	if err != nil {
-		return nil, err
+	out, sr, err := r.query(req, limits, nil, 0)
+	if err == nil {
+		out.result = encode(sr.SliceResult())
 	}
-	sess, salvaged, err := loadSession(prog, req.Pinball, req.Salvage, limits, r.sup)
-	if err != nil {
-		return nil, err
-	}
-	sess.SetParallelWorkers(req.Workers)
-
-	// The whole criterion-resolution + trace + slice pipeline runs as
-	// one supervised phase: a panicking analysis pass or a hung trace
-	// collection surfaces as a typed failure, and transient failures
-	// retry under the server's backoff policy.
-	var sl *drdebug.Slice
-	rep, err := supervisor.Run(supervisor.PhaseSlice, r.sup, func() error {
-		var serr error
-		switch {
-		case req.Var != "":
-			sl, serr = sess.SliceForVariable(req.Var)
-		case req.Line > 0:
-			nth := req.Nth
-			if nth <= 0 {
-				nth = 1
-			}
-			sl, serr = sess.SliceAtLine(req.Tid, int32(req.Line), nth)
-		default:
-			sl, serr = sess.SliceAtFailure()
-		}
-		return serr
-	})
-	out := &sessionResult{report: rep}
-	if err != nil {
-		return out, err
-	}
-	out.result = encode(SliceResult{
-		Members:        len(sl.Members),
-		TraceLen:       sl.Stats.TraceLen,
-		Deps:           len(sl.Deps),
-		PrunedBypasses: int(sl.Stats.PrunedBypasses),
-		Digest:         slice.Summarize(sl).Digest,
-		Prov:           sl.Prov,
-	})
-	switch {
-	case sl.Prov != nil && sl.Prov.Degraded():
-		out.annotation = CodeEstimated
-	case salvaged:
-		out.annotation = CodeSalvaged
-	}
-	return out, nil
+	return out, err
 }
 
 // sliceShard advances one window range of a distributed slice query
 // (see slice.SliceShard): an empty State starts a fresh query at the
-// request's criterion, otherwise the carried state resumes. The engine
-// comes from the shared LRU keyed on pinball content, so a worker
-// answering shards of the same pinball reuses its hot engine exactly
-// like whole-slice sessions do.
+// request's criterion, otherwise the carried state resumes.
 func (r *runner) sliceShard(req *Request, limits vm.Limits) (*sessionResult, error) {
 	if req.Proto < ProtoV2 {
 		return nil, badRequest("slice_shard requires proto >= %d", ProtoV2)
@@ -307,50 +261,81 @@ func (r *runner) sliceShard(req *Request, limits vm.Limits) (*sessionResult, err
 			return nil, badRequest("bad shard state: %v", err)
 		}
 	}
+	out, sr, err := r.query(req, limits, st, max(req.ShardWindows, 1))
+	if err == nil {
+		out.result = encode(sr)
+	}
+	return out, err
+}
+
+// query is the daemon's one slice path. It runs a slice query on the
+// session's column engine from st (nil: a fresh query at the request's
+// criterion) for the given number of checkpoint windows, or to the
+// start of the trace when windows is 0, and answers the successor
+// state — marshalled only for a shard hop — plus, once the query is
+// done, its summary and member-level provenance. A whole slice and the
+// last hop of a fleet chain so answer from the same code. The engine
+// comes from the shared LRU keyed on pinball content, so every request
+// on one recording reuses its hot engine.
+func (r *runner) query(req *Request, limits vm.Limits, st *slice.QueryState, windows int) (*sessionResult, ShardResult, error) {
+	var payload ShardResult
 	prog, err := loadProgram(req)
 	if err != nil {
-		return nil, err
+		return nil, payload, err
 	}
 	sess, salvaged, err := loadSession(prog, req.Pinball, req.Salvage, limits, r.sup)
 	if err != nil {
-		return nil, err
+		return nil, payload, err
 	}
 	sess.SetParallelWorkers(req.Workers)
 
-	var payload ShardResult
-	var badState error
-	rep, err := supervisor.Run(supervisor.PhaseSlice, r.sup, func() error {
-		eng, serr := sess.ParallelSlicer()
-		if serr != nil {
-			return serr
+	// Criterion resolution, trace, engine and sweep run as one
+	// supervised phase: a panicking analysis pass or a hung trace
+	// collection surfaces as a typed failure, and transient failures
+	// retry under the server's backoff policy.
+	var rejected error
+	reject := func(err error) error {
+		if errors.Is(err, core.ErrBadCriterion) || errors.Is(err, slice.ErrBadState) {
+			// The sender's fault: end the phase without a retry.
+			rejected = err
+			return nil
 		}
+		return err
+	}
+	rep, err := supervisor.Run(supervisor.PhaseSlice, r.sup, func() error {
 		var crit tracer.Ref
 		var bound int
 		if st != nil {
 			crit, bound = st.Crit, st.Bound
 		} else {
-			crit, serr = sess.ResolveCriterion(req.Var, req.Tid, int32(req.Line), req.Nth)
-			if serr != nil {
-				return serr
-			}
-			if bound, serr = eng.StartBound(crit); serr != nil {
-				return serr
+			var serr error
+			if crit, serr = sess.ResolveCriterion(req.Var, req.Tid, int32(req.Line), req.Nth); serr != nil {
+				return reject(serr)
 			}
 		}
-		next, serr := eng.SliceShard(crit, st, eng.NextShardLo(bound, req.ShardWindows))
-		if errors.Is(serr, slice.ErrBadState) {
-			// The sender's fault: end the phase without a retry.
-			badState = serr
-			return nil
-		}
+		eng, serr := sess.ParallelSlicer()
 		if serr != nil {
 			return serr
 		}
-		raw, serr := json.Marshal(next)
-		if serr != nil {
-			return serr
+		lo := 0
+		if windows > 0 {
+			if st == nil {
+				if bound, serr = eng.StartBound(crit); serr != nil {
+					return serr
+				}
+			}
+			lo = eng.NextShardLo(bound, windows)
 		}
-		payload = ShardResult{Done: next.Done, Bound: next.Bound, State: raw}
+		next, serr := eng.SliceShard(crit, st, lo)
+		if serr != nil {
+			return reject(serr)
+		}
+		payload = ShardResult{Done: next.Done, Bound: next.Bound}
+		if windows > 0 {
+			if payload.State, serr = json.Marshal(next); serr != nil {
+				return serr
+			}
+		}
 		if next.Done {
 			sum, serr := eng.SummarizeState(next)
 			if serr != nil {
@@ -365,19 +350,18 @@ func (r *runner) sliceShard(req *Request, limits vm.Limits) (*sessionResult, err
 	})
 	out := &sessionResult{report: rep}
 	if err != nil {
-		return out, err
+		return out, payload, err
 	}
-	if badState != nil {
-		return out, badRequest("%v", badState)
+	if rejected != nil {
+		return out, payload, badRequest("%v", rejected)
 	}
-	out.result = encode(payload)
 	switch {
 	case payload.Prov != nil && payload.Prov.Degraded():
 		out.annotation = CodeEstimated
 	case salvaged:
 		out.annotation = CodeSalvaged
 	}
-	return out, nil
+	return out, payload, nil
 }
 
 func (r *runner) dualSlice(req *Request, limits vm.Limits) (*sessionResult, error) {

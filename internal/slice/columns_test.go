@@ -18,7 +18,7 @@ import (
 
 // replayTrace replays a recording with a region collector and builds
 // its global trace.
-func replayTrace(t *testing.T, prog *isa.Program, pb *pinball.Pinball) *tracer.Trace {
+func replayTrace(t testing.TB, prog *isa.Program, pb *pinball.Pinball) *tracer.Trace {
 	t.Helper()
 	m := pinplay.NewReplayMachine(prog, pb, nil)
 	col := tracer.NewRegionCollector(pb.Quanta)

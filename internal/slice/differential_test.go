@@ -115,7 +115,9 @@ func mustEqualSlices(t *testing.T, label string, seq, par *slice.Slice) {
 }
 
 // criteriaOf picks the slice criteria a differential case exercises:
-// the program's last event plus the latest reads across threads.
+// the program's last event, the latest reads across threads, and reads
+// sampled across the region. Last reads of small programs have tiny
+// slices; mid-region reads reach into loops and calls.
 func criteriaOf(t *testing.T, tr *tracer.Trace) []tracer.Ref {
 	t.Helper()
 	crit, err := slice.LastEventOf(tr, 0)
@@ -124,6 +126,25 @@ func criteriaOf(t *testing.T, tr *tracer.Trace) []tracer.Ref {
 	}
 	out := []tracer.Ref{crit}
 	out = append(out, slice.LastReadsInRegion(tr, 2)...)
+	return append(out, midRegionReads(tr, 6)...)
+}
+
+// midRegionReads samples up to n memory reads evenly spaced over the
+// region's reads in global order: a deterministic sampler.
+func midRegionReads(tr *tracer.Trace, n int) []tracer.Ref {
+	var reads []tracer.Ref
+	for _, r := range tr.Global {
+		if e := tr.Entry(r); e.EffAddr >= 0 && !e.MemIsWrite {
+			reads = append(reads, r)
+		}
+	}
+	if len(reads) <= n {
+		return reads
+	}
+	out := make([]tracer.Ref, n)
+	for i := range out {
+		out[i] = reads[(2*i+1)*len(reads)/(2*n)]
+	}
 	return out
 }
 

@@ -48,7 +48,9 @@ func BuildExclusions(tr *tracer.Trace, sl *Slice) []pinball.Exclusion {
 			case isa.SPAWN, isa.JOIN, isa.WAIT, isa.SIGNAL:
 				return true
 			case isa.RET:
-				return e.NextPC == -1 // thread exit
+				if e.NextPC == -1 { // thread exit
+					return true
+				}
 			case isa.HALT:
 				return true
 			}
@@ -88,15 +90,4 @@ func BuildExclusions(tr *tracer.Trace, sl *Slice) []pinball.Exclusion {
 		flush(len(local))
 	}
 	return out
-}
-
-// IncludedInstrs returns how many traced instructions remain after
-// applying the exclusions — the slice pinball's instruction count, which
-// the paper reports as "%instructions in slice pinball".
-func IncludedInstrs(tr *tracer.Trace, exclusions []pinball.Exclusion) int64 {
-	var excluded int64
-	for _, e := range exclusions {
-		excluded += e.ToIdx - e.FromIdx
-	}
-	return int64(tr.Len()) - excluded
 }

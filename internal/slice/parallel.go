@@ -22,7 +22,7 @@ type ParallelOptions struct {
 	Workers int
 	// WindowSize is the global-trace entries per dependence shard.
 	// Callers normally pass the pinball's checkpoint cadence (see
-	// pinplay.TraceWindows); <= 0 falls back to tracer.DefaultLPBlock.
+	// pinplay.WindowSize); <= 0 falls back to tracer.DefaultLPBlock.
 	WindowSize int
 	// Ctx cancels the build cooperatively: the worker pools check it
 	// between per-thread forward passes and between window shards, so an

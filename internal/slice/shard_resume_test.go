@@ -13,7 +13,7 @@ import (
 
 // workloadEngine records a registry workload whole and builds a column
 // engine over it with the given window size.
-func workloadEngine(t *testing.T, name string, window int) *ParallelSlicer {
+func workloadEngine(t testing.TB, name string, window int) *ParallelSlicer {
 	t.Helper()
 	w, err := workloads.ByName(name)
 	if err != nil {
@@ -149,64 +149,11 @@ func TestShardResumeAfterBypass(t *testing.T) {
 // ErrBadState before any position touches a bitset, not panic.
 func TestShardRejectsMalformedState(t *testing.T) {
 	eng := workloadEngine(t, "swaptions", 16)
-	// A suspended state with a live demand and a pending control parent.
-	var base *QueryState
-	var crit tracer.Ref
-	var start int
-	for _, c := range LastReadsInRegion(eng.Trace, 8) {
-		var err error
-		if start, err = eng.StartBound(c); err != nil {
-			t.Fatal(err)
-		}
-		for st, bound := (*QueryState)(nil), start; base == nil; {
-			next, err := eng.SliceShard(c, st, eng.NextShardLo(bound, 1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if next.Done {
-				break
-			}
-			if len(next.Wanted) > 0 && len(next.Events) > 0 {
-				base, crit = next, c
-			}
-			st, bound = next, next.Bound
-		}
-		if base != nil {
-			break
-		}
-	}
-	if base == nil {
-		t.Fatal("no query suspended with both demands and events")
-	}
-
-	cases := []struct {
-		name    string
-		mutate  func(st *QueryState)
-		wantErr error
-	}{
-		{"as captured", func(*QueryState) {}, nil},
-		{"version 1", func(st *QueryState) { st.V = 1 }, ErrBadState},
-		{"criterion outside trace", func(st *QueryState) { st.Crit = tracer.Ref{Tid: 1 << 20} }, ErrBadState},
-		{"bound past criterion", func(st *QueryState) { st.Bound = start + 1 }, ErrBadState},
-		{"negative bound", func(st *QueryState) { st.Bound = -1 }, ErrBadState},
-		{"event far past trace", func(st *QueryState) { st.Events = append(st.Events, 1<<30) }, ErrBadState},
-		{"negative event", func(st *QueryState) { st.Events = append(st.Events, -5) }, ErrBadState},
-		{"event at bound", func(st *QueryState) { st.Events = append(st.Events, int32(st.Bound)) }, ErrBadState},
-		{"member far past trace", func(st *QueryState) { st.Members = append(st.Members, 1<<30) }, ErrBadState},
-		{"negative member", func(st *QueryState) { st.Members = append(st.Members, -5) }, ErrBadState},
-		{"candidate at bound", func(st *QueryState) { st.Wanted[0].Def = int32(st.Bound) }, ErrBadState},
-		{"candidate below -1", func(st *QueryState) { st.Wanted[0].Def = -5 }, ErrBadState},
-		{"requester thread outside trace", func(st *QueryState) { st.Wanted[0].Tid = 1 << 20 }, ErrBadState},
-		{"requester position outside trace", func(st *QueryState) { st.Wanted[0].Pos = -5 }, ErrBadState},
-		{"done with member far past trace", func(st *QueryState) {
-			st.Done, st.Bound, st.Wanted, st.Events = true, 0, nil, nil
-			st.Members = append(st.Members, 1<<30)
-		}, ErrBadState},
-	}
-	for _, tc := range cases {
+	base, crit, start := suspendedState(t, eng)
+	for _, tc := range malformedStates {
 		t.Run(tc.name, func(t *testing.T) {
 			st := wireState(t, base)
-			tc.mutate(st)
+			tc.mutate(st, start)
 			_, err := eng.SliceShard(crit, st, 0)
 			if tc.wantErr == nil && err != nil {
 				t.Fatalf("rejected: %v", err)
@@ -216,4 +163,61 @@ func TestShardRejectsMalformedState(t *testing.T) {
 			}
 		})
 	}
+}
+
+// suspendedState runs shard hops of one window over the engine's last
+// reads until a query suspends with both a live demand and a pending
+// control parent, and returns that state, its criterion and the
+// criterion's start bound.
+func suspendedState(t testing.TB, eng *ParallelSlicer) (*QueryState, tracer.Ref, int) {
+	t.Helper()
+	for _, c := range LastReadsInRegion(eng.Trace, 8) {
+		start, err := eng.StartBound(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for st, bound := (*QueryState)(nil), start; ; {
+			next, err := eng.SliceShard(c, st, eng.NextShardLo(bound, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if next.Done {
+				break
+			}
+			if len(next.Wanted) > 0 && len(next.Events) > 0 {
+				return next, c, start
+			}
+			st, bound = next, next.Bound
+		}
+	}
+	t.Fatal("no query suspended with both demands and events")
+	return nil, tracer.Ref{}, 0
+}
+
+// malformedStates mutate a well-formed suspended state (captured with
+// the given criterion start bound) into each shape of wire state the
+// engine must reject with ErrBadState, plus the unmutated control.
+var malformedStates = []struct {
+	name    string
+	mutate  func(st *QueryState, start int)
+	wantErr error
+}{
+	{"as captured", func(*QueryState, int) {}, nil},
+	{"version 1", func(st *QueryState, _ int) { st.V = 1 }, ErrBadState},
+	{"criterion outside trace", func(st *QueryState, _ int) { st.Crit = tracer.Ref{Tid: 1 << 20} }, ErrBadState},
+	{"bound past criterion", func(st *QueryState, start int) { st.Bound = start + 1 }, ErrBadState},
+	{"negative bound", func(st *QueryState, _ int) { st.Bound = -1 }, ErrBadState},
+	{"event far past trace", func(st *QueryState, _ int) { st.Events = append(st.Events, 1<<30) }, ErrBadState},
+	{"negative event", func(st *QueryState, _ int) { st.Events = append(st.Events, -5) }, ErrBadState},
+	{"event at bound", func(st *QueryState, _ int) { st.Events = append(st.Events, int32(st.Bound)) }, ErrBadState},
+	{"member far past trace", func(st *QueryState, _ int) { st.Members = append(st.Members, 1<<30) }, ErrBadState},
+	{"negative member", func(st *QueryState, _ int) { st.Members = append(st.Members, -5) }, ErrBadState},
+	{"candidate at bound", func(st *QueryState, _ int) { st.Wanted[0].Def = int32(st.Bound) }, ErrBadState},
+	{"candidate below -1", func(st *QueryState, _ int) { st.Wanted[0].Def = -5 }, ErrBadState},
+	{"requester thread outside trace", func(st *QueryState, _ int) { st.Wanted[0].Tid = 1 << 20 }, ErrBadState},
+	{"requester position outside trace", func(st *QueryState, _ int) { st.Wanted[0].Pos = -5 }, ErrBadState},
+	{"done with member far past trace", func(st *QueryState, _ int) {
+		st.Done, st.Bound, st.Wanted, st.Events = true, 0, nil, nil
+		st.Members = append(st.Members, 1<<30)
+	}, ErrBadState},
 }

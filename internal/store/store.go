@@ -73,15 +73,6 @@ func Digest(data []byte) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// DigestFile hashes a file on disk to its store key.
-func DigestFile(path string) (string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return "", err
-	}
-	return Digest(data), nil
-}
-
 // ValidDigest reports whether s has the shape of a store digest.
 func ValidDigest(s string) bool { return digestRE.MatchString(s) }
 

@@ -4,7 +4,7 @@ import "repro/internal/vm"
 
 // Window is one contiguous global-trace range [Lo, Hi). The parallel
 // slicing engine shards the trace into windows (bounded by the pinball's
-// checkpoint cadence, see pinplay.TraceWindows) and computes each
+// checkpoint cadence, see pinplay.WindowSize) and computes each
 // window's dependence shard on its own worker.
 type Window struct {
 	Lo, Hi int
@@ -100,6 +100,9 @@ func (ls LocSpace) Total() int64 { return ls.MemSpan + ls.StackSpan + ls.RegSpan
 // Index returns l's dense table index, or false when l lies outside the
 // space's regions.
 func (ls LocSpace) Index(l Loc) (int, bool) {
+	if l < 0 {
+		return 0, false
+	}
 	if l&regLocBase != 0 {
 		if r := int64(l &^ regLocBase); r < ls.RegSpan {
 			return int(ls.MemSpan + ls.StackSpan + r), true
@@ -107,9 +110,6 @@ func (ls LocSpace) Index(l Loc) (int, bool) {
 		return 0, false
 	}
 	a := int64(l)
-	if a < 0 {
-		return 0, false
-	}
 	if a >= ls.StackLo {
 		if s := a - ls.StackLo; s < ls.StackSpan {
 			return int(ls.MemSpan + s), true

@@ -9,7 +9,6 @@ package vm
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/isa"
 )
@@ -529,14 +528,4 @@ func (m *Machine) trackAccess(tid int, idx int64, addr int64, isWrite bool) {
 		}
 	}
 	st.readers = append(st.readers, reader{tid, idx})
-}
-
-// ThreadIDs returns the ids of all threads, sorted.
-func (m *Machine) ThreadIDs() []int {
-	ids := make([]int, len(m.Threads))
-	for i := range m.Threads {
-		ids[i] = i
-	}
-	sort.Ints(ids)
-	return ids
 }

@@ -131,11 +131,6 @@ func (s *ReplayScheduler) Pick(runnable []int) (int, int64) {
 	return runnable[0], 1 << 62
 }
 
-// Exhausted reports whether the recorded schedule has been fully consumed.
-func (s *ReplayScheduler) Exhausted() bool {
-	return s.pos >= len(s.quanta) && s.pending.Count == 0
-}
-
 // RoundRobinScheduler cycles through runnable threads with a fixed
 // quantum. Deterministic; used by tests and by Maple's profiling phase.
 type RoundRobinScheduler struct {
@@ -157,35 +152,4 @@ func (s *RoundRobinScheduler) Pick(runnable []int) (int, int64) {
 	}
 	s.last = runnable[0]
 	return runnable[0], q
-}
-
-// PriorityScheduler always runs the runnable thread with the highest
-// priority (ties broken by lowest tid) on a single virtual processor.
-// Maple's active scheduler manipulates these priorities to force a
-// predicted interleaving.
-type PriorityScheduler struct {
-	prio map[int]int
-}
-
-// NewPriorityScheduler returns a scheduler with all priorities at zero.
-func NewPriorityScheduler() *PriorityScheduler {
-	return &PriorityScheduler{prio: make(map[int]int)}
-}
-
-// SetPriority sets a thread's scheduling priority; higher runs first.
-func (s *PriorityScheduler) SetPriority(tid, p int) { s.prio[tid] = p }
-
-// Priority returns a thread's current priority.
-func (s *PriorityScheduler) Priority(tid int) int { return s.prio[tid] }
-
-// Pick implements Scheduler. The quantum is 1 so that priority changes
-// made by Maple's scheduler hooks take effect immediately.
-func (s *PriorityScheduler) Pick(runnable []int) (int, int64) {
-	best := runnable[0]
-	for _, tid := range runnable[1:] {
-		if s.prio[tid] > s.prio[best] || (s.prio[tid] == s.prio[best] && tid < best) {
-			best = tid
-		}
-	}
-	return best, 1
 }
