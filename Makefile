@@ -36,14 +36,16 @@ pipebench-test:
 bench:
 	$(GO) run ./cmd/drbench -experiment slicebench -workers 4
 
-# One iteration of each parallel slicing-engine benchmark (build and
-# steady-state query on a blackscholes region) and of each record and
+# One iteration of each parallel slicing-engine benchmark (build, and
+# steady-state query with and without its dependence edges, on a
+# blackscholes region) and of each record and
 # validated-replay benchmark (the mgrid kernel region and the
 # checkpoint-cadence toys), so a change that breaks them fails here; the
-# numbers themselves do not gate.
+# numbers themselves do not gate. -benchmem puts B/op and allocs/op in
+# the log next to ns/op.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Parallel' -benchtime 1x ./internal/slice/
-	$(GO) test -run '^$$' -bench 'Replay|Log' -benchtime 1x ./internal/pinplay/
+	$(GO) test -run '^$$' -bench 'Parallel' -benchtime 1x -benchmem ./internal/slice/
+	$(GO) test -run '^$$' -bench 'Replay|Log' -benchtime 1x -benchmem ./internal/pinplay/
 
 # Crash-injection suite under the race detector: torn files at every
 # section boundary, injected tracer panics, stalled replays, persistent

@@ -58,8 +58,9 @@ func main() {
 	// interesting ones for a race.
 	fmt.Println("backward dependence navigation from the assert:")
 	shown := 0
-	for i := len(sl.Deps) - 1; i >= 0 && shown < 8; i-- {
-		d := sl.Deps[i]
+	deps := sl.Deps()
+	for i := len(deps) - 1; i >= 0 && shown < 8; i-- {
+		d := deps[i]
 		if d.From.Tid == d.To.Tid {
 			continue
 		}

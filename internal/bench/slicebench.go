@@ -2,6 +2,7 @@ package bench
 
 import (
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/cfg"
@@ -65,18 +66,8 @@ type SliceBenchReport struct {
 
 // sameSlice compares two slices field by field (LP counters excepted).
 func sameSlice(a, b *slice.Slice) bool {
-	if a.Criterion != b.Criterion || len(a.Members) != len(b.Members) || len(a.Deps) != len(b.Deps) {
+	if a.Criterion != b.Criterion || !slices.Equal(a.Members, b.Members) || !slices.Equal(a.Deps(), b.Deps()) {
 		return false
-	}
-	for i := range a.Members {
-		if a.Members[i] != b.Members[i] {
-			return false
-		}
-	}
-	for i := range a.Deps {
-		if a.Deps[i] != b.Deps[i] {
-			return false
-		}
 	}
 	return a.Stats.PrunedBypasses == b.Stats.PrunedBypasses &&
 		a.Stats.VerifiedPairs == b.Stats.VerifiedPairs &&

@@ -93,7 +93,7 @@ func keyOf(tr *tracer.Trace, sl *slice.Slice) sliceKey {
 		e := tr.Entry(m)
 		k.members = append(k.members, [2]int64{int64(m.Tid), e.Idx})
 	}
-	for _, d := range sl.Deps {
+	for _, d := range sl.Deps() {
 		fe, te := tr.Entry(d.From), tr.Entry(d.To)
 		k.deps = append(k.deps, [5]int64{int64(d.From.Tid), fe.Idx, int64(d.To.Tid), te.Idx, int64(d.Kind)})
 	}
@@ -174,7 +174,7 @@ func TestRingSliceDifferential(t *testing.T) {
 		// Every edge's tag matches an independent recomputation from the
 		// trace's gap spans: worst provenance of the two endpoints.
 		var bridged int
-		for _, d := range slRing.Deps {
+		for _, d := range slRing.Deps() {
 			want := trRing.ProvenanceOf(d.From)
 			if p := trRing.ProvenanceOf(d.To); p > want {
 				want = p

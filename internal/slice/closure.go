@@ -116,7 +116,7 @@ func checkWellFormed(tr *tracer.Trace, sl *Slice) error {
 		return fmt.Errorf("slice: last member %+v is not the criterion %+v", last, sl.Criterion)
 	}
 	var buf [8]tracer.Loc
-	for i, d := range sl.Deps {
+	for i, d := range sl.Deps() {
 		if !sl.Contains(d.From) || !sl.Contains(d.To) {
 			return fmt.Errorf("slice: dep %d %+v has non-member endpoint", i, d)
 		}

@@ -2,8 +2,6 @@ package slice
 
 import (
 	"testing"
-
-	"repro/internal/tracer"
 )
 
 // TestCheckClosureAPI: the exported checker accepts every slice the
@@ -32,11 +30,15 @@ func TestCheckClosureAPI(t *testing.T) {
 		// well-formedness (it can only be legal if the member fed nothing,
 		// which a backward slice never contains).
 		if len(sl.Members) > 1 {
-			broken := &Slice{
-				Criterion: sl.Criterion,
-				Members:   append(append([]tracer.Ref{}, sl.Members[:len(sl.Members)/2]...), sl.Members[len(sl.Members)/2+1:]...),
-				Deps:      sl.Deps,
+			broken := newSlice(tr, sl.Criterion)
+			for i, m := range sl.Members {
+				if i != len(sl.Members)/2 {
+					g, _ := tr.GlobalPosOf(m)
+					broken.addPos(g)
+					broken.Members = append(broken.Members, m)
+				}
 			}
+			broken.deps = sl.Deps()
 			if err := eng.CheckClosure(broken); err == nil {
 				t.Fatalf("seed %d: closure check accepted a slice with a member removed", seed)
 			}

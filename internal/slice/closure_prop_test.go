@@ -163,7 +163,7 @@ func checkSliceWellFormed(t *testing.T, label string, tr *tracer.Trace, sl *Slic
 		t.Fatalf("%s: last member %+v is not the criterion %+v", label, last, sl.Criterion)
 	}
 	var buf [8]tracer.Loc
-	for i, d := range sl.Deps {
+	for i, d := range sl.Deps() {
 		if !sl.Contains(d.From) || !sl.Contains(d.To) {
 			t.Fatalf("%s: dep %d %+v has non-member endpoint", label, i, d)
 		}

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/cc"
+	"repro/internal/isa"
+	"repro/internal/pinball"
 	"repro/internal/pinplay"
 	"repro/internal/progfuzz"
 	"repro/internal/slice"
@@ -25,29 +27,7 @@ func TestCorpusDifferential(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			t.Parallel()
-			path := fmt.Sprintf("../progfuzz/corpus/seed-%d.c", seed)
-			src, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("corpus file: %v", err)
-			}
-			prog, err := cc.CompileSource(fmt.Sprintf("seed-%d.c", seed), string(src))
-			if err != nil {
-				t.Fatalf("compile: %v", err)
-			}
-			pb, err := pinplay.Log(prog, pinplay.LogConfig{Seed: seed, MeanQuantum: 5}, pinplay.RegionSpec{})
-			if err != nil {
-				t.Fatalf("log: %v", err)
-			}
-			m := pinplay.NewReplayMachine(prog, pb, nil)
-			col := tracer.NewCollector()
-			m.SetTracer(col)
-			total := pb.TotalQuantumInstrs()
-			for i := int64(0); i < total && m.StepOne(); i++ {
-			}
-			tr := col.Trace()
-			if err := tr.BuildGlobal(); err != nil {
-				t.Fatalf("global trace: %v", err)
-			}
+			prog, pb, tr := corpusProgram(t, seed)
 
 			opts := optionsForSeed(seed)
 			seqEng, err := slice.New(prog, tr, opts)
@@ -78,4 +58,34 @@ func TestCorpusDifferential(t *testing.T) {
 			}
 		})
 	}
+}
+
+// corpusProgram compiles, records and traces one committed corpus
+// program.
+func corpusProgram(t *testing.T, seed int64) (*isa.Program, *pinball.Pinball, *tracer.Trace) {
+	t.Helper()
+	path := fmt.Sprintf("../progfuzz/corpus/seed-%d.c", seed)
+	src, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("corpus file: %v", err)
+	}
+	prog, err := cc.CompileSource(fmt.Sprintf("seed-%d.c", seed), string(src))
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	pb, err := pinplay.Log(prog, pinplay.LogConfig{Seed: seed, MeanQuantum: 5}, pinplay.RegionSpec{})
+	if err != nil {
+		t.Fatalf("log: %v", err)
+	}
+	m := pinplay.NewReplayMachine(prog, pb, nil)
+	col := tracer.NewCollector()
+	m.SetTracer(col)
+	total := pb.TotalQuantumInstrs()
+	for i := int64(0); i < total && m.StepOne(); i++ {
+	}
+	tr := col.Trace()
+	if err := tr.BuildGlobal(); err != nil {
+		t.Fatalf("global trace: %v", err)
+	}
+	return prog, pb, tr
 }

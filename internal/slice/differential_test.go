@@ -92,12 +92,13 @@ func mustEqualSlices(t *testing.T, label string, seq, par *slice.Slice) {
 			t.Fatalf("%s: member %d: %+v vs %+v", label, i, seq.Members[i], par.Members[i])
 		}
 	}
-	if len(seq.Deps) != len(par.Deps) {
-		t.Fatalf("%s: %d dep edges sequential, %d parallel", label, len(seq.Deps), len(par.Deps))
+	seqDeps, parDeps := seq.Deps(), par.Deps()
+	if len(seqDeps) != len(parDeps) {
+		t.Fatalf("%s: %d dep edges sequential, %d parallel", label, len(seqDeps), len(parDeps))
 	}
-	for i := range seq.Deps {
-		if seq.Deps[i] != par.Deps[i] {
-			t.Fatalf("%s: dep %d: %+v vs %+v", label, i, seq.Deps[i], par.Deps[i])
+	for i := range seqDeps {
+		if seqDeps[i] != parDeps[i] {
+			t.Fatalf("%s: dep %d: %+v vs %+v", label, i, seqDeps[i], parDeps[i])
 		}
 	}
 	if seq.Stats.Members != par.Stats.Members ||

@@ -28,19 +28,14 @@ func BuildExclusions(tr *tracer.Trace, sl *Slice) []pinball.Exclusion {
 	}
 	sort.Ints(tids)
 
+	// count[pc] is how many times pc has executed in the current thread
+	// so far, so an entry's instance (1-based, the paper's
+	// sinstance/einstance notation) is its pc's count once it is counted.
+	var count []int32
 	for _, tid := range tids {
 		local := tr.Locals[tid]
 		first := tr.FirstIdx[tid]
-
-		// instance[pos] = how many times this entry's pc has executed in
-		// this thread up to and including this entry (1-based), matching
-		// the paper's sinstance/einstance notation.
-		instOf := make(map[int64]int64)
-		instances := make([]int64, len(local))
-		for pos := range local {
-			instOf[local[pos].PC]++
-			instances[pos] = instOf[local[pos].PC]
-		}
+		clear(count)
 
 		mustKeep := func(pos int) bool {
 			e := &local[pos]
@@ -57,8 +52,8 @@ func BuildExclusions(tr *tracer.Trace, sl *Slice) []pinball.Exclusion {
 			return sl.Contains(tracer.Ref{Tid: int32(tid), Pos: int32(pos)})
 		}
 
-		start := -1
-		flush := func(end int) {
+		start, startInst := -1, int32(0)
+		flush := func(end int, endInst int32) {
 			if start < 0 {
 				return
 			}
@@ -67,27 +62,30 @@ func BuildExclusions(tr *tracer.Trace, sl *Slice) []pinball.Exclusion {
 				FromIdx:       first + int64(start),
 				ToIdx:         first + int64(end),
 				StartPC:       local[start].PC,
-				StartInstance: instances[start],
+				StartInstance: int64(startInst),
+				EndPC:         -1,
 			}
 			if end < len(local) {
 				ex.EndPC = local[end].PC
-				ex.EndInstance = instances[end]
-			} else {
-				ex.EndPC = -1
-				ex.EndInstance = 0
+				ex.EndInstance = int64(endInst)
 			}
 			out = append(out, ex)
 			start = -1
 		}
 
 		for pos := range local {
+			pc := local[pos].PC
+			if pc >= int64(len(count)) {
+				count = append(count, make([]int32, int(pc)+1-len(count))...)
+			}
+			count[pc]++
 			if mustKeep(pos) {
-				flush(pos)
+				flush(pos, count[pc])
 			} else if start < 0 {
-				start = pos
+				start, startInst = pos, count[pc]
 			}
 		}
-		flush(len(local))
+		flush(len(local), 0)
 	}
 	return out
 }

@@ -72,7 +72,7 @@ func ToFile(prog *isa.Program, tr *tracer.Trace, sl *Slice, exclusions []pinball
 			Tid: int(m.Tid), Idx: e.Idx, PC: e.PC, Src: prog.SourceOf(e.PC),
 		})
 	}
-	for _, d := range sl.Deps {
+	for _, d := range sl.Deps() {
 		fe, te := tr.Entry(d.From), tr.Entry(d.To)
 		f.Deps = append(f.Deps, FileDep{
 			FromTid: int(d.From.Tid), FromIdx: fe.Idx,
@@ -88,25 +88,25 @@ func ToFile(prog *isa.Program, tr *tracer.Trace, sl *Slice, exclusions []pinball
 // navigation. It fails if any member falls outside the trace (i.e. the
 // file does not belong to this pinball).
 func (f *File) Resolve(tr *tracer.Trace) (*Slice, error) {
-	sl := &Slice{memberSet: make(map[tracer.Ref]struct{}, len(f.Members))}
 	crit, ok := tr.RefOf(f.CriterionTid, f.CriterionIdx)
 	if !ok {
 		return nil, fmt.Errorf("slice: criterion tid %d idx %d outside trace", f.CriterionTid, f.CriterionIdx)
 	}
-	sl.Criterion = crit
+	sl := newSlice(tr, crit)
 	for _, m := range f.Members {
 		ref, ok := tr.RefOf(m.Tid, m.Idx)
-		if !ok {
+		g, inGlobal := tr.GlobalPosOf(ref)
+		if !ok || !inGlobal {
 			return nil, fmt.Errorf("slice: member tid %d idx %d outside trace", m.Tid, m.Idx)
 		}
-		sl.memberSet[ref] = struct{}{}
+		sl.addPos(g)
 		sl.Members = append(sl.Members, ref)
 	}
 	for _, d := range f.Deps {
 		from, ok1 := tr.RefOf(d.FromTid, d.FromIdx)
 		to, ok2 := tr.RefOf(d.ToTid, d.ToIdx)
 		if ok1 && ok2 {
-			sl.Deps = append(sl.Deps, DepEdge{
+			sl.addDep(DepEdge{
 				From: from, To: to, Kind: d.Kind,
 				Provenance: d.Provenance, Confidence: d.Confidence,
 			})

@@ -28,7 +28,7 @@ func NewNavigator(tr *tracer.Trace, sl *Slice) *Navigator {
 		back:    make(map[tracer.Ref][]DepEdge),
 		forward: make(map[tracer.Ref][]DepEdge),
 	}
-	for _, d := range sl.Deps {
+	for _, d := range sl.Deps() {
 		n.back[d.From] = append(n.back[d.From], d)
 		n.forward[d.To] = append(n.forward[d.To], d)
 	}

@@ -95,29 +95,45 @@ type ParallelSlicer struct {
 	indexSteps atomic.Int64
 }
 
-// wantedSet is the query's demand set: location -> demanding member.
-// Locations inside the trace's dense LocSpace live in a direct-indexed
-// table (a presence bitset plus a requester array — the hot path);
+// wantedSet is the query's demand set: location -> demanding member and
+// the location's pending definition candidate. Locations inside the
+// trace's dense LocSpace live in a direct-indexed table (a presence
+// bitset plus requester and candidate arrays — the hot path);
 // out-of-space locations (untouched addresses) fall back to a map.
 type wantedSet struct {
 	space tracer.LocSpace
 	bits  []uint64
 	ref   []tracer.Ref
-	over  map[tracer.Loc]tracer.Ref
+	def   []int32
+	over  map[tracer.Loc]demandOf
 }
 
-// add records ref as l's requester and reports whether l was freshly
-// demanded (not already wanted).
-func (ws *wantedSet) add(l tracer.Loc, r tracer.Ref) bool {
+// demandOf is one out-of-space demand: its requester and candidate.
+type demandOf struct {
+	ref tracer.Ref
+	def int32
+}
+
+// add records r as l's requester. A fresh demand (l not wanted yet)
+// takes def as its candidate and add reports true; re-demanding a
+// wanted location only retargets the requester.
+func (ws *wantedSet) add(l tracer.Loc, r tracer.Ref, def int32) bool {
 	if i, ok := ws.space.Index(l); ok {
 		w, b := i>>6, uint64(1)<<(i&63)
 		fresh := ws.bits[w]&b == 0
 		ws.bits[w] |= b
 		ws.ref[i] = r
+		if fresh {
+			ws.def[i] = def
+		}
 		return fresh
 	}
-	_, had := ws.over[l]
-	ws.over[l] = r
+	d, had := ws.over[l]
+	if !had {
+		d.def = def
+	}
+	d.ref = r
+	ws.over[l] = d
 	return !had
 }
 
@@ -129,17 +145,8 @@ func (ws *wantedSet) get(l tracer.Loc) (tracer.Ref, bool) {
 		}
 		return ws.ref[i], true
 	}
-	r, ok := ws.over[l]
-	return r, ok
-}
-
-// has reports whether l is wanted.
-func (ws *wantedSet) has(l tracer.Loc) bool {
-	if i, ok := ws.space.Index(l); ok {
-		return ws.bits[i>>6]&(1<<(i&63)) != 0
-	}
-	_, ok := ws.over[l]
-	return ok
+	d, ok := ws.over[l]
+	return d.ref, ok
 }
 
 // del kills the demand on l.
@@ -151,18 +158,16 @@ func (ws *wantedSet) del(l tracer.Loc) {
 	delete(ws.over, l)
 }
 
-// queryScratch is the reusable allocation block of one Slice call:
-// the demand set, the member bitset, the candidate heap, the drain
-// buffer and the dependence-edge buffer. Engines pool scratches so
-// repeated queries (the cyclic debugging loop) allocate only their
-// results.
+// queryScratch is the reusable allocation block of one Slice call: the
+// demand set and three bitsets over global positions — the members,
+// the pending control parents (events) and the pending definition
+// candidates. Engines pool scratches so repeated queries (the cyclic
+// debugging loop) allocate only their results.
 type queryScratch struct {
 	ws      wantedSet
 	members []uint64
 	events  []uint64
-	h       candHeap
-	batch   []tracer.Loc
-	deps    []DepEdge
+	pending []uint64
 }
 
 // getScratch pops a pooled scratch or builds a fresh one.
@@ -179,11 +184,12 @@ func (s *ParallelSlicer) getScratch() *queryScratch {
 			space: s.space,
 			bits:  make([]uint64, s.space.Total()/64+1),
 			ref:   make([]tracer.Ref, s.space.Total()),
-			over:  make(map[tracer.Loc]tracer.Ref),
+			def:   make([]int32, s.space.Total()),
+			over:  make(map[tracer.Loc]demandOf),
 		},
 		members: make([]uint64, len(s.Trace.Global)/64+1),
 		events:  make([]uint64, len(s.Trace.Global)/64+1),
-		batch:   make([]tracer.Loc, 0, 16),
+		pending: make([]uint64, len(s.Trace.Global)/64+1),
 	}
 }
 
@@ -356,80 +362,38 @@ func (s *ParallelSlicer) forwardPass(ctx context.Context, an *cfg.Analyzer, cand
 	return threads, nil
 }
 
-// demandCand is one pending resolution event of a query: either "the
-// next definition of loc is at pos" or "the control parent awaited at
-// pos" (event). Stale entries are filtered at pop time. loc comes first
-// so the struct packs into 16 bytes.
-type demandCand struct {
-	loc   tracer.Loc
-	pos   int32
-	event bool
-}
-
-// candHeap is a max-heap on pos (the query processes positions in the
-// same descending order as the sequential sweep).
-type candHeap []demandCand
-
-func (h *candHeap) push(c demandCand) {
-	*h = append(*h, c)
-	i := len(*h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if (*h)[p].pos >= (*h)[i].pos {
-			break
-		}
-		(*h)[p], (*h)[i] = (*h)[i], (*h)[p]
-		i = p
-	}
-}
-
-func (h *candHeap) pop() demandCand {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < n && (*h)[l].pos > (*h)[big].pos {
-			big = l
-		}
-		if r < n && (*h)[r].pos > (*h)[big].pos {
-			big = r
-		}
-		if big == i {
-			break
-		}
-		(*h)[i], (*h)[big] = (*h)[big], (*h)[i]
-		i = big
-	}
-	return top
-}
-
 // query is one in-progress backward slice computation: the pooled
 // scratch plus the result accumulators. A query either runs to
 // completion in-process (Slice) or is advanced one window range at a
 // time with its live state serialised between ranges (SliceShard) —
 // both paths drive the same sweep loop, so a sharded query is
 // bit-identical to a monolithic one by construction.
+//
+// The sweep visits, in descending order, only the positions where
+// something can happen: the pending candidate of each wanted location,
+// flagged in sc.pending, and each pending control parent, flagged in
+// sc.events. A wanted location's candidate is always the highest
+// position below the sweep point that defines it (a demand takes the
+// reaching definition at the demanding position; every definition in
+// between has been handled), so the wanted locations whose candidate
+// is the visited position g are exactly Defs(e_g) ∩ wanted.
 type query struct {
 	s        *ParallelSlicer
 	sc       *queryScratch
 	crit     tracer.Ref
 	startPos int
-	// deps collects the dependence edges appended during the current
-	// range, in the scratch's reused buffer. A suspending query folds
-	// them into depHash/depCount (result payloads carry counts and a
-	// digest, not the edge list); a monolithic query copies them into
-	// the Slice result.
-	deps     []DepEdge
+	// cur is the sweep point: every position >= cur has been handled.
+	cur int
+	// Dependence edges are folded into depHash/depCount (foldDep, in
+	// the order the sweep finds them) rather than kept; with record
+	// set, as when Slice.Deps materialises them, edges collects them
+	// too.
 	depHash  uint64
 	depCount int64
+	record   bool
+	edges    []DepEdge
 	pruned   int64
 	steps    int64
-	batch    []tracer.Loc
 	locBuf   [8]tracer.Loc
 }
 
@@ -446,22 +410,19 @@ func (s *ParallelSlicer) newQuery(crit tracer.Ref) (*query, error) {
 	clear(sc.ws.over)
 	clear(sc.members)
 	clear(sc.events)
-	sc.h = sc.h[:0]
+	clear(sc.pending)
 	return &query{
 		s:        s,
 		sc:       sc,
 		crit:     crit,
 		startPos: startPos,
-		deps:     sc.deps[:0],
+		cur:      startPos,
 		depHash:  fnv1a.Offset,
-		batch:    sc.batch[:0],
 	}, nil
 }
 
 // release returns the scratch to the engine pool and flushes counters.
 func (q *query) release() {
-	q.sc.batch = q.batch
-	q.sc.deps = q.deps[:0]
 	q.s.putScratch(q.sc)
 	q.s.indexSteps.Add(q.steps)
 	q.steps = 0
@@ -472,14 +433,24 @@ func (q *query) isMember(g int) bool {
 }
 
 // demand mirrors the sequential `wanted[l] = ...; wantedBy[l] = ref`
-// writes: a fresh demand gets its next-definition candidate — def, the
-// reaching definition of l at the demanding position, from the columns;
+// writes: a fresh demand gets its candidate def — the reaching
+// definition of l at the demanding position, from the columns;
 // re-demanding an already-wanted location only retargets the requester
 // (the pending candidate stays correct — every definition between it
 // and the demanding position has already been processed).
 func (q *query) demand(l tracer.Loc, ref tracer.Ref, def int32) {
-	if q.sc.ws.add(l, ref) && def >= 0 {
-		q.sc.h.push(demandCand{pos: def, loc: l})
+	if q.sc.ws.add(l, ref, def) && def >= 0 {
+		q.sc.pending[def>>6] |= 1 << (def & 63)
+	}
+}
+
+// edge folds one dependence edge into the digest, keeping it when
+// recording.
+func (q *query) edge(d DepEdge) {
+	q.depHash = foldDep(q.depHash, d)
+	q.depCount++
+	if q.record {
+		q.edges = append(q.edges, d)
 	}
 }
 
@@ -505,165 +476,127 @@ func (q *query) include(gpos int, ref tracer.Ref, defs []tracer.Loc) {
 	if q.s.Opts.ControlDeps {
 		if pg := int(q.s.parent[gpos]); pg >= 0 && pg <= q.startPos {
 			if !q.isMember(pg) {
-				// sc.events flags the global positions with a pending
-				// control parent. The sequential sweep keys its map by
-				// position too, and the demanding member is never read
-				// back (the control edge is emitted at demand time), so
-				// presence bits carry the whole state.
-				if q.sc.events[pg>>6]&(1<<(pg&63)) == 0 {
-					q.sc.events[pg>>6] |= 1 << (pg & 63)
-					q.sc.h.push(demandCand{pos: int32(pg), event: true})
-				}
+				// The sequential sweep keys its pending control parents by
+				// position too, and the demanding member is never read back
+				// (the control edge is emitted at demand time), so the
+				// event bit carries the whole state.
+				q.sc.events[pg>>6] |= 1 << (pg & 63)
 			}
-			q.deps = append(q.deps, DepEdge{From: ref, To: q.s.Trace.Global[pg], Kind: DepControl})
+			q.edge(DepEdge{From: ref, To: q.s.Trace.Global[pg], Kind: DepControl})
 		}
 	}
 }
 
-// runTo advances the sweep, handling candidate positions in descending
-// order, until the heap is exhausted or every remaining candidate lies
-// below lo. runTo(0) is the complete sweep; a positive lo suspends the
-// query at a window boundary with its state capturable by captureState.
+// next returns the highest flagged position in [lo, q.cur), or -1: a
+// word-at-a-time descending scan of pending|events.
+func (q *query) next(lo int) int {
+	if q.cur <= lo {
+		return -1
+	}
+	pending, events := q.sc.pending, q.sc.events
+	top := q.cur - 1
+	w := top >> 6
+	word := (pending[w] | events[w]) & (^uint64(0) >> (63 - uint(top&63)))
+	for word == 0 {
+		if w--; w < lo>>6 {
+			return -1
+		}
+		word = pending[w] | events[w]
+	}
+	if g := w<<6 + 63 - bits.LeadingZeros64(word); g >= lo {
+		return g
+	}
+	return -1
+}
+
+// runTo advances the sweep, handling flagged positions in descending
+// order, until none is left at or above lo. runTo(0) is the complete
+// sweep; a positive lo suspends the query at a window boundary with its
+// state capturable by captureState.
 func (q *query) runTo(lo int) {
 	s := q.s
 	tr := s.Trace
-	wanted := &q.sc.ws
-	wantedEvents := q.sc.events
-	h := &q.sc.h
-	batch := q.batch
-	for len(*h) > 0 && int((*h)[0].pos) >= lo {
-		// Drain every candidate at the current position: the position is
-		// handled once, exactly like one iteration of the backward sweep.
-		// Candidates whose location was killed since they were pushed are
-		// stale; dropping them here (one presence-bit probe) skips the
-		// entry decode for positions where nothing is live.
-		g := int((*h)[0].pos)
-		batch = batch[:0]
-		event := false
-		for len(*h) > 0 && int((*h)[0].pos) == g {
-			c := h.pop()
-			if c.event {
-				event = true
-			} else if wanted.has(c.loc) {
-				batch = append(batch, c.loc)
-			}
-		}
+	ws := &q.sc.ws
+	pending, events := q.sc.pending, q.sc.events
+	for g := q.next(lo); g >= 0; g = q.next(lo) {
+		// The position is handled once, exactly like one iteration of
+		// the backward sweep; everything it flags lies below it.
+		q.cur = g
+		w, b := g>>6, uint64(1)<<(g&63)
+		event := events[w]&b != 0
+		pending[w] &^= b
+		events[w] &^= b
 		q.steps++
+		ref := tr.Global[g]
 
 		// Pending control parent: include and skip data matching, as the
 		// sequential sweep does. Demands this entry satisfies are killed
-		// by include; the drained candidates die with them.
+		// by include.
 		if event {
-			if wantedEvents[g>>6]&(1<<(g&63)) != 0 {
-				wantedEvents[g>>6] &^= 1 << (g & 63)
-				q.include(g, tr.Global[g], nil)
-				continue
-			}
+			q.include(g, ref, nil)
+			continue
 		}
-		if len(batch) == 0 {
-			continue // all drained demands went stale since they were pushed
-		}
-		ref := tr.Global[g]
 		e := &s.locals[ref.Tid][ref.Pos]
 
 		// Save/restore bypass: same redirection as the sequential sweep.
 		// A verified save/restore entry defines exactly one tracked
 		// location (the PUSH's slot or the POP's register; SP is excluded
 		// from dependence tracking), recorded in its bypass info — so the
-		// match is decided against the batch without decoding the entry's
-		// definitions, which matters: bypass hops dominate the event count
-		// on call-heavy traces. The entry is not included, so any other
-		// demand whose candidate was this position must look further back.
+		// match is decided without decoding the entry's definitions,
+		// which matters: bypass hops dominate the event count on
+		// call-heavy traces. The entry is not included.
 		if s.Opts.PruneSaveRestore {
 			if bp, isBp := s.bypassAtPos(g); isBp {
 				from, to := bp.slot, bp.reg
 				if bp.role == bypassRestore {
 					from, to = bp.reg, bp.slot
 				}
-				live := false
-				for _, l := range batch {
-					if l == from {
-						live = true
-						break
-					}
-				}
+				requester, live := ws.get(from)
 				if !live {
-					continue // the pending demand on `from` went stale
+					continue
 				}
-				requester, _ := wanted.get(from)
-				wanted.del(from)
+				ws.del(from)
 				// The entry uses `to`: the saved register for a save, the
 				// stack slot for a restore.
 				q.demand(to, requester, s.cols.useDef(e, g, to))
 				q.pruned++
-				for _, l := range batch {
-					if wanted.has(l) {
-						if p := s.cols.prevDef(e, g, l); p >= 0 {
-							h.push(demandCand{pos: p, loc: l})
-						}
-					}
-				}
 				continue
 			}
 		}
 
 		// Data match: the first location in the entry's definition order
 		// with a pending demand, exactly the sequential sweep's selection.
-		// Every wanted location this entry defines has its candidate in
-		// the drained batch (candidates pop in position order), so the
-		// batch doubles as the set of live demands to match against.
 		defs := tracer.Defs(e, q.locBuf[:0])
-		matched := tracer.Loc(0)
-		found := false
 		for _, l := range defs {
-			for _, b := range batch {
-				if b == l {
-					matched = l
-					found = true
-					break
-				}
-			}
-			if found {
+			if from, ok := ws.get(l); ok {
+				q.edge(DepEdge{From: from, To: ref, Kind: DepData, Loc: l})
+				q.include(g, ref, defs)
 				break
 			}
 		}
-		if !found {
-			continue // all drained demands went stale since they were pushed
-		}
-		if from, ok := wanted.get(matched); ok {
-			q.deps = append(q.deps, DepEdge{From: from, To: ref, Kind: DepData, Loc: matched})
-		}
-		q.include(g, ref, defs)
 	}
-	q.batch = batch
+	q.cur = min(q.cur, lo)
 }
 
-// finish materialises the completed query's Slice result. Deps gets an
-// exact-size copy: the query's buffer stays with the pooled scratch.
+// finish materialises the completed query's Slice result: members off
+// the bitset, the bitset itself (up to the criterion's word) for
+// Contains, and the folded edges.
 func (q *query) finish() *Slice {
-	out := &Slice{Criterion: q.crit, Deps: slices.Clone(q.deps)}
-	if out.Deps == nil {
-		out.Deps = []DepEdge{}
+	s := q.s
+	member := slices.Clone(q.sc.members[:q.startPos>>6+1])
+	out := &Slice{
+		Criterion: q.crit,
+		Members:   membersOf(s.Trace, member),
+		tr:        s.Trace,
+		member:    member,
+		depHash:   q.depHash,
+		depCount:  q.depCount,
+		eng:       s,
 	}
-	// Materialise members in global order straight off the bitset. The
-	// membership map is left to Contains to build on demand.
-	members := q.sc.members
-	n := 0
-	for _, word := range members {
-		n += bits.OnesCount64(word)
-	}
-	out.Members = make([]tracer.Ref, 0, n)
-	for w, word := range members {
-		for word != 0 {
-			g := w<<6 + bits.TrailingZeros64(word)
-			out.Members = append(out.Members, q.s.Trace.Global[g])
-			word &= word - 1
-		}
-	}
-	out.Stats.TraceLen = len(q.s.Trace.Global)
+	out.Stats.TraceLen = len(s.Trace.Global)
 	out.Stats.Members = len(out.Members)
-	out.Stats.VerifiedPairs = q.s.pairs
-	out.Stats.CFGRefinements = q.s.cfgRefinements
+	out.Stats.VerifiedPairs = s.pairs
+	out.Stats.CFGRefinements = s.cfgRefinements
 	out.Stats.PrunedBypasses = q.pruned
 	return out
 }
@@ -681,4 +614,21 @@ func (s *ParallelSlicer) Slice(crit tracer.Ref) (*Slice, error) {
 	q.include(q.startPos, crit, nil)
 	q.runTo(0)
 	return q.finish(), nil
+}
+
+// edgesOf re-runs the query on crit with edge recording on and returns
+// its n dependence edges: the sweep is deterministic, so they are the
+// edges the first run folded, in the same order. The re-run is not
+// counted in the engine's stats.
+func (s *ParallelSlicer) edgesOf(crit tracer.Ref, n int64) []DepEdge {
+	q, err := s.newQuery(crit)
+	if err != nil {
+		panic(err) // crit was resolved by the query that made the slice
+	}
+	q.record, q.edges = true, make([]DepEdge, 0, n)
+	q.include(q.startPos, crit, nil)
+	q.runTo(0)
+	q.steps = 0
+	q.release()
+	return q.edges
 }

@@ -80,6 +80,17 @@ func BenchmarkParallelBuild(b *testing.B) {
 // engine, cycling through the region's last reads (the paper's slicing
 // criteria).
 func BenchmarkParallelQuery(b *testing.B) {
+	benchQueries(b, func(*slice.Slice) {})
+}
+
+// BenchmarkParallelQueryDeps is BenchmarkParallelQuery plus building
+// each result's dependence edges (Slice.Deps): the on-demand cost that
+// navigation and slice-file export pay.
+func BenchmarkParallelQueryDeps(b *testing.B) {
+	benchQueries(b, func(sl *slice.Slice) { sl.Deps() })
+}
+
+func benchQueries(b *testing.B, use func(*slice.Slice)) {
 	r := benchEngineRegion(b)
 	eng, err := slice.NewParallel(r.prog, r.tr, slice.DefaultOptions(), slice.ParallelOptions{WindowSize: r.window})
 	if err != nil {
@@ -92,23 +103,29 @@ func BenchmarkParallelQuery(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Slice(crits[i%len(crits)]); err != nil {
+		sl, err := eng.Slice(crits[i%len(crits)])
+		if err != nil {
 			b.Fatal(err)
 		}
+		use(sl)
 	}
 }
 
-// resultBytes is the size of a slice's Members and Deps arrays.
-func resultBytes(sl *slice.Slice) uint64 {
-	return uint64(len(sl.Members))*uint64(unsafe.Sizeof(tracer.Ref{})) +
-		uint64(len(sl.Deps))*uint64(unsafe.Sizeof(slice.DepEdge{}))
+// resultBytes bounds what a query may allocate: its Members array and
+// its member bitset (one bit per global position up to the criterion),
+// each rounded up to an allocator size class, plus a small constant for
+// the Slice header.
+func resultBytes(tr *tracer.Trace, sl *slice.Slice) uint64 {
+	g, _ := tr.GlobalPosOf(sl.Criterion)
+	n := uint64(len(sl.Members))*uint64(unsafe.Sizeof(tracer.Ref{})) + uint64(g/64+1)*8
+	return n + n/8 + 8192
 }
 
 // TestParallelQueryAllocations: once an engine has answered a query, a
-// further query allocates little beyond its result — no buffer sized by
-// an earlier, larger query, no rebuilt scratch. The measured query runs
-// right after the largest one, so a result buffer sized from it would
-// show.
+// further query allocates little beyond its result — its members and
+// member bitset, no dependence-edge list, no buffer sized by an earlier,
+// larger query, no rebuilt scratch. Each measured query runs right after
+// the largest one, so a result buffer sized from it would show.
 func TestParallelQueryAllocations(t *testing.T) {
 	r, err := recordEngineRegion(20_000)
 	if err != nil {
@@ -118,38 +135,47 @@ func TestParallelQueryAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var big, small *slice.Slice
+	var big *slice.Slice
+	var others []*slice.Slice
 	for _, crit := range slice.LastReadsInRegion(r.tr, 10) {
 		sl, err := eng.Slice(crit)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if big == nil || len(sl.Deps) > len(big.Deps) {
-			big = sl
+		if big == nil || len(sl.Members) > len(big.Members) {
+			big, sl = sl, big
 		}
-		if len(sl.Deps) > 0 && (small == nil || len(sl.Deps) < len(small.Deps)) {
-			small = sl
+		if sl != nil {
+			others = append(others, sl)
 		}
 	}
-	if big == nil || small == nil || 2*len(small.Deps) > len(big.Deps) {
+	smaller := 0
+	for _, sl := range others {
+		if 2*len(sl.Members) <= len(big.Members) {
+			smaller++
+		}
+	}
+	if big == nil || smaller == 0 {
 		t.Fatalf("region has no pair of criteria with clearly different slice sizes")
 	}
-	const runs = 20
-	var total uint64
-	var before, after runtime.MemStats
-	for i := 0; i < runs; i++ {
-		if _, err := eng.Slice(big.Criterion); err != nil {
-			t.Fatal(err)
+	const runs = 5
+	for _, sl := range others {
+		var total uint64
+		var before, after runtime.MemStats
+		for i := 0; i < runs; i++ {
+			if _, err := eng.Slice(big.Criterion); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&before)
+			if _, err := eng.Slice(sl.Criterion); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			total += after.TotalAlloc - before.TotalAlloc
 		}
-		runtime.ReadMemStats(&before)
-		if _, err := eng.Slice(small.Criterion); err != nil {
-			t.Fatal(err)
+		if got, want := total/runs, resultBytes(r.tr, sl); got > want {
+			t.Fatalf("a query of %d members after one of %d allocates %d bytes, want at most %d",
+				len(sl.Members), len(big.Members), got, want)
 		}
-		runtime.ReadMemStats(&after)
-		total += after.TotalAlloc - before.TotalAlloc
-	}
-	if got, want := total/runs, 2*resultBytes(small); got > want {
-		t.Fatalf("a query after a larger one allocates %d bytes, want at most %d (2x its result's %d bytes)",
-			got, want, resultBytes(small))
 	}
 }

@@ -74,10 +74,11 @@ func AnnotateProvenance(tr *tracer.Trace, sl *Slice) {
 			sum.EstimatedMembers++
 		}
 	}
-	for i := range sl.Deps {
-		p := edgeProvenance(tr, sl.Deps[i])
-		sl.Deps[i].Provenance = p
-		sl.Deps[i].Confidence = p.Confidence()
+	deps := sl.Deps()
+	for i := range deps {
+		p := edgeProvenance(tr, deps[i])
+		deps[i].Provenance = p
+		deps[i].Confidence = p.Confidence()
 		switch p {
 		case tracer.ProvExact:
 			sum.ExactEdges++
@@ -99,7 +100,7 @@ func AnnotateProvenance(tr *tracer.Trace, sl *Slice) {
 // must not carry provenance tags at all.
 func (s *Slicer) checkProvenance(sl *Slice) error {
 	if sl.Prov == nil {
-		for i, d := range sl.Deps {
+		for i, d := range sl.Deps() {
 			if d.Provenance != tracer.ProvExact || d.Confidence != 0 {
 				return fmt.Errorf("slice: unannotated slice carries provenance on dep %d: %v/%.2f", i, d.Provenance, d.Confidence)
 			}
@@ -118,7 +119,7 @@ func (s *Slicer) checkProvenance(sl *Slice) error {
 			want.EstimatedMembers++
 		}
 	}
-	for i, d := range sl.Deps {
+	for i, d := range sl.Deps() {
 		p := edgeProvenance(s.Trace, d)
 		if d.Provenance != p {
 			return fmt.Errorf("slice: dep %d tagged %v, endpoints say %v", i, d.Provenance, p)

@@ -17,21 +17,18 @@ import (
 // ranges out across workers and to re-dispatch a range when the worker
 // computing it dies.
 //
-// Why this is sound: when the sweep has handled every candidate at
-// positions >= B, its live state is exactly (a) the wanted set — each
-// demanded location with its demanding member and its pending heap
-// candidate, (b) the pending control-parent positions < B, and (c) the
-// members so far. The state carries all three verbatim: a wanted
-// location's candidate is read off the heap at capture and pushed back
-// on resume, and pending event bits are by construction the event
-// candidates not yet popped, all < B. Candidates whose location was
-// killed are stale and dropped at capture, exactly as a pop would drop
-// them. A live location never has two heap entries (a kill pops its
-// candidate first, so a re-demand starts afresh), and its candidate is
-// the last definition of the location below B: any definition in
-// [B, demandPos) would itself have been the candidate and been
-// processed already. The shard tests assert both against a linear scan
-// of the trace, including states resumed after a save/restore bypass.
+// Why this is sound: when the sweep has handled every position >= B,
+// its live state is exactly (a) the wanted set — each demanded location
+// with its demanding member and its pending candidate, (b) the pending
+// control-parent positions < B, and (c) the members so far. The state
+// carries all three verbatim: the candidates and requesters are read off
+// the wanted set at capture and flagged again on resume, and pending
+// event bits are by construction the control parents not yet visited,
+// all < B. A live location has exactly one candidate, the last
+// definition of the location below B: any definition in [B, demandPos)
+// would itself have been the candidate and been processed already. The
+// shard tests assert this against a linear scan of the trace, including
+// states resumed after a save/restore bypass.
 // Re-running a shard from the same state is therefore idempotent, which
 // is what makes hedged and re-dispatched shard requests safe.
 
@@ -66,7 +63,8 @@ type QueryState struct {
 	// Bound is the exclusive low edge of the handled region; 0 when Done.
 	Bound int  `json:"bound"`
 	Done  bool `json:"done,omitempty"`
-	// Wanted and Events rebuild the candidate heap on resume.
+	// Wanted and Events are the pending candidates and control parents
+	// the resumed sweep visits.
 	Wanted []WantedLoc `json:"wanted,omitempty"`
 	Events []int32     `json:"events,omitempty"`
 	// Members are the slice members found so far, as ascending global
@@ -192,23 +190,19 @@ func (s *ParallelSlicer) checkState(st *QueryState) error {
 }
 
 // resumeQuery reconstructs a suspended query from its checked wire
-// state, pushing every carried candidate back on the heap.
+// state, flagging every carried candidate and control parent again.
 func (s *ParallelSlicer) resumeQuery(st *QueryState) (*query, error) {
 	q, err := s.newQuery(st.Crit)
 	if err != nil {
 		return nil, err
 	}
+	q.cur = st.Bound
 	q.depHash, q.depCount, q.pruned = st.DepHash, st.DepCount, st.Pruned
 	for _, w := range st.Wanted {
-		l := tracer.Loc(w.Loc)
-		q.sc.ws.add(l, tracer.Ref{Tid: w.Tid, Pos: w.Pos})
-		if w.Def >= 0 {
-			q.sc.h.push(demandCand{pos: w.Def, loc: l})
-		}
+		q.demand(tracer.Loc(w.Loc), tracer.Ref{Tid: w.Tid, Pos: w.Pos}, w.Def)
 	}
 	for _, p := range st.Events {
 		q.sc.events[p>>6] |= 1 << (p & 63)
-		q.sc.h.push(demandCand{pos: p, event: true})
 	}
 	for _, m := range st.Members {
 		q.sc.members[m>>6] |= 1 << (m & 63)
@@ -222,18 +216,13 @@ func (s *ParallelSlicer) resumeQuery(st *QueryState) (*query, error) {
 // serialise to equal bytes — duplicate shard executions can be
 // compared, and deduplicated, textually.
 func (q *query) captureState(bound int) *QueryState {
-	h, n := q.depHash, q.depCount
-	for _, d := range q.deps {
-		h = foldDep(h, d)
-	}
-	n += int64(len(q.deps))
 	st := &QueryState{
 		V:        queryStateVersion,
 		Crit:     q.crit,
 		Bound:    bound,
-		Done:     len(q.sc.h) == 0,
-		DepCount: n,
-		DepHash:  h,
+		Done:     q.next(0) < 0,
+		DepCount: q.depCount,
+		DepHash:  q.depHash,
 		Pruned:   q.pruned,
 	}
 	for w, word := range q.sc.members {
@@ -247,27 +236,20 @@ func (q *query) captureState(bound int) *QueryState {
 		st.Bound = 0
 		return st
 	}
-	ws := &q.sc.ws
-	// Each live location's pending candidate, read off the heap (one per
-	// location, see the file comment); stale candidates (killed
-	// locations) are dropped.
-	defs := make(map[tracer.Loc]int32, len(q.sc.h))
-	for _, c := range q.sc.h {
-		if !c.event && ws.has(c.loc) {
-			defs[c.loc] = c.pos
-		}
-	}
-	wantedLoc := func(l tracer.Loc, r tracer.Ref) WantedLoc {
-		def, ok := defs[l]
-		if !ok {
+	wantedLoc := func(l tracer.Loc, r tracer.Ref, def int32) WantedLoc {
+		// A candidate at or above the bound has been visited. Only a
+		// resumed state whose candidate did not define its location can
+		// leave that location wanted; its candidate is spent.
+		if int(def) >= bound {
 			def = -1
 		}
 		return WantedLoc{Loc: int64(l), Tid: r.Tid, Pos: r.Pos, Def: def}
 	}
+	ws := &q.sc.ws
 	for w, word := range ws.bits {
 		for word != 0 {
 			i := w<<6 + bits.TrailingZeros64(word)
-			st.Wanted = append(st.Wanted, wantedLoc(ws.space.LocAt(i), ws.ref[i]))
+			st.Wanted = append(st.Wanted, wantedLoc(ws.space.LocAt(i), ws.ref[i], ws.def[i]))
 			word &= word - 1
 		}
 	}
@@ -278,7 +260,8 @@ func (q *query) captureState(bound int) *QueryState {
 		}
 		sort.Slice(locs, func(i, j int) bool { return locs[i] < locs[j] })
 		for _, l := range locs {
-			st.Wanted = append(st.Wanted, wantedLoc(l, ws.over[l]))
+			d := ws.over[l]
+			st.Wanted = append(st.Wanted, wantedLoc(l, d.ref, d.def))
 		}
 	}
 	for w, word := range q.sc.events {
@@ -323,20 +306,18 @@ func foldRef(h uint64, r tracer.Ref) uint64 {
 }
 
 // Summarize digests a completed slice: dependence edges in append
-// order, then members in ascending global order. This is the
-// single-node reference the fleet's shard chain is checked against.
+// order (folded by the slice's producer), then members in ascending
+// global order. This is the single-node reference the fleet's shard
+// chain is checked against; it never materialises the edge list.
 func Summarize(sl *Slice) Summary {
-	h := fnv1a.Offset
-	for _, d := range sl.Deps {
-		h = foldDep(h, d)
-	}
+	h := sl.depHash
 	for _, m := range sl.Members {
 		h = foldRef(h, m)
 	}
 	return Summary{
 		Members:        len(sl.Members),
 		TraceLen:       sl.Stats.TraceLen,
-		Deps:           int64(len(sl.Deps)),
+		Deps:           sl.depCount,
 		PrunedBypasses: sl.Stats.PrunedBypasses,
 		Digest:         fmt.Sprintf("%016x", h),
 	}

@@ -243,7 +243,7 @@ int main() {
 
 	// There must be at least one inter-thread data dependence edge.
 	cross := false
-	for _, d := range sl.Deps {
+	for _, d := range sl.Deps() {
 		if d.From.Tid != d.To.Tid && d.Kind == slice.DepData {
 			cross = true
 		}

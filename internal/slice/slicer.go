@@ -2,10 +2,11 @@ package slice
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 	"sync"
 
 	"repro/internal/cfg"
+	"repro/internal/fnv1a"
 	"repro/internal/isa"
 	"repro/internal/tracer"
 )
@@ -82,38 +83,67 @@ type Stats struct {
 	LPBlocksSkip   int64
 }
 
-// Slice is a computed backward dynamic slice.
+// Slice is a computed backward dynamic slice. Its dependence edges are
+// kept folded into a digest and a count (see Summarize); the edge list
+// is built only when Deps asks for it.
 type Slice struct {
 	Criterion tracer.Ref
 	// Members lists the slice's entries in global-trace order (the
 	// criterion is the last member).
 	Members []tracer.Ref
-	// Deps holds one exemplar dependence edge per included dependence,
-	// for backward navigation in the UI.
-	Deps  []DepEdge
-	Stats Stats
+	Stats   Stats
 	// Prov is the provenance breakdown, present once AnnotateProvenance
 	// has run (nil for slices over ordinary full traces).
 	Prov *ProvSummary
 
-	memberSet     map[tracer.Ref]struct{}
-	memberSetOnce sync.Once
+	tr       *tracer.Trace
+	member   []uint64 // flags the members' global positions in tr
+	depHash  uint64   // foldDep of the edges in order
+	depCount int64
+
+	eng      *ParallelSlicer // non-nil: Deps re-runs the query on it
+	depsOnce sync.Once
+	deps     []DepEdge
 }
 
-// Contains reports whether ref is in the slice. The membership map is
-// built on first use when the producer did not fill it (the parallel
-// engine leaves it to the consumer, keeping the query loop map-free).
+// newSlice starts an empty slice of crit over tr.
+func newSlice(tr *tracer.Trace, crit tracer.Ref) *Slice {
+	return &Slice{
+		Criterion: crit,
+		tr:        tr,
+		member:    make([]uint64, len(tr.Global)/64+1),
+		depHash:   fnv1a.Offset,
+	}
+}
+
+// Contains reports whether ref is in the slice.
 func (s *Slice) Contains(r tracer.Ref) bool {
-	s.memberSetOnce.Do(func() {
-		if s.memberSet == nil {
-			s.memberSet = make(map[tracer.Ref]struct{}, len(s.Members))
-			for _, m := range s.Members {
-				s.memberSet[m] = struct{}{}
-			}
+	g, ok := s.tr.GlobalPosOf(r)
+	return ok && g>>6 < len(s.member) && s.member[g>>6]&(1<<(g&63)) != 0
+}
+
+// addPos flags the entry at global position g as a member.
+func (s *Slice) addPos(g int) { s.member[g>>6] |= 1 << (g & 63) }
+
+// addDep appends one dependence edge, folding it into the digest.
+func (s *Slice) addDep(d DepEdge) {
+	s.depHash = foldDep(s.depHash, d)
+	s.depCount++
+	s.deps = append(s.deps, d)
+}
+
+// Deps returns one exemplar dependence edge per included dependence, in
+// the order the backward sweep found them, for navigation and export.
+// An engine slice builds the list on first call by re-running its query
+// on its engine, which it keeps alive; the oracle and resolved files
+// fill it as they go. Safe for concurrent use.
+func (s *Slice) Deps() []DepEdge {
+	s.depsOnce.Do(func() {
+		if s.eng != nil {
+			s.deps = s.eng.edgesOf(s.Criterion, s.depCount)
 		}
 	})
-	_, ok := s.memberSet[r]
-	return ok
+	return s.deps
 }
 
 // Slicer computes backward dynamic slices over one collected trace. The
@@ -181,20 +211,17 @@ func (s *Slicer) Slice(crit tracer.Ref) (*Slice, error) {
 		return nil, fmt.Errorf("slice: criterion %+v outside trace", crit)
 	}
 
-	out := &Slice{
-		Criterion: crit,
-		memberSet: make(map[tracer.Ref]struct{}),
-	}
+	out := newSlice(tr, crit)
 	wanted := make(map[tracer.Loc]struct{})
 	wantedBy := make(map[tracer.Loc]tracer.Ref)
 	wantedEvents := make(map[int]tracer.Ref) // global pos -> who wants it
 	var locBuf [8]tracer.Loc
 
 	include := func(gpos int, ref tracer.Ref) {
-		if _, dup := out.memberSet[ref]; dup {
+		if out.Contains(ref) {
 			return
 		}
-		out.memberSet[ref] = struct{}{}
+		out.addPos(gpos)
 		e := tr.Entry(ref)
 		// Kill the locations this entry defines, then demand its uses.
 		for _, l := range tracer.Defs(e, locBuf[:0]) {
@@ -208,10 +235,10 @@ func (s *Slicer) Slice(crit tracer.Ref) (*Slice, error) {
 		if s.Opts.ControlDeps {
 			if p, ok := s.fwd.parentOf(ref); ok {
 				if pg, ok := tr.GlobalPosOf(p); ok && pg <= startPos {
-					if _, seen := out.memberSet[p]; !seen {
+					if !out.Contains(p) {
 						wantedEvents[pg] = ref
 					}
-					out.Deps = append(out.Deps, DepEdge{From: ref, To: p, Kind: DepControl})
+					out.addDep(DepEdge{From: ref, To: p, Kind: DepControl})
 				}
 			}
 		}
@@ -291,22 +318,13 @@ func (s *Slicer) Slice(crit tracer.Ref) (*Slice, error) {
 				}
 			}
 			if from, ok := wantedBy[matched]; ok {
-				out.Deps = append(out.Deps, DepEdge{From: from, To: ref, Kind: DepData, Loc: matched})
+				out.addDep(DepEdge{From: from, To: ref, Kind: DepData, Loc: matched})
 			}
 			include(g, ref)
 		}
 	}
 
-	// Materialise members in global order.
-	out.Members = make([]tracer.Ref, 0, len(out.memberSet))
-	for ref := range out.memberSet {
-		out.Members = append(out.Members, ref)
-	}
-	sort.Slice(out.Members, func(i, j int) bool {
-		gi, _ := tr.GlobalPosOf(out.Members[i])
-		gj, _ := tr.GlobalPosOf(out.Members[j])
-		return gi < gj
-	})
+	out.Members = membersOf(tr, out.member)
 	out.Stats.TraceLen = len(tr.Global)
 	out.Stats.Members = len(out.Members)
 	out.Stats.VerifiedPairs = s.fwd.pairs
@@ -314,6 +332,23 @@ func (s *Slicer) Slice(crit tracer.Ref) (*Slice, error) {
 	out.Stats.LPBlocksVisit = s.lp.Visited
 	out.Stats.LPBlocksSkip = s.lp.Skipped
 	return out, nil
+}
+
+// membersOf lists the entries flagged in a member bitset, in global
+// order.
+func membersOf(tr *tracer.Trace, member []uint64) []tracer.Ref {
+	n := 0
+	for _, word := range member {
+		n += bits.OnesCount64(word)
+	}
+	out := make([]tracer.Ref, 0, n)
+	for w, word := range member {
+		for word != 0 {
+			out = append(out, tr.Global[w<<6+bits.TrailingZeros64(word)])
+			word &= word - 1
+		}
+	}
+	return out
 }
 
 // LastEventOf returns the ref of the last traced entry of a thread —
