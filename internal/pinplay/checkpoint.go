@@ -14,8 +14,9 @@ import (
 // logging, a rolling hash of each thread's instruction stream — pc,
 // per-thread index, effective address, value moved, control target — is
 // folded instruction by instruction, and every CheckpointEvery
-// instructions the hash plus the thread's full register file and pc are
-// recorded into the pinball. Replay recomputes the identical fold and
+// instructions — plus once more at region end for the thread's trailing
+// partial window — the hash plus the thread's full register file and pc
+// are recorded into the pinball. Replay recomputes the identical fold and
 // compares at each checkpoint, so a divergent replay is caught inside
 // the first bad window of at most CheckpointEvery instructions instead
 // of as a terminal instruction-count mismatch (or, worse, a silently
@@ -53,6 +54,8 @@ type threadHash struct {
 
 	lastIdx  int64 // per-thread index after the last good checkpoint
 	lastStep int64 // global step of the last good checkpoint
+
+	idx, at int64 // recorder: last observed instruction's Idx and Step
 }
 
 // checkpointer records checkpoints during logging (and, for slice
@@ -79,14 +82,32 @@ func (c *checkpointer) observe(ev *vm.InstrEvent) {
 	th.h = foldEvent(th.h, ev)
 	th.n++
 	c.step++
+	th.idx, th.at = ev.Idx, c.step
 	if th.left--; th.left == 0 {
-		th.left = c.every
-		t := c.m.Threads[ev.Tid]
-		c.cps = append(c.cps, pinball.Checkpoint{
-			Tid: ev.Tid, Seq: th.n, Idx: ev.Idx, Step: c.step,
-			Hash: th.h, PC: t.PC, Regs: t.Regs,
-		})
-		th.h = fnv1a.Offset // windowed: the next checkpoint hashes afresh
+		c.emit(ev.Tid)
+	}
+}
+
+// emit closes thread tid's window at its last observed instruction with
+// the thread's registers and pc as they are now.
+func (c *checkpointer) emit(tid int) {
+	th, t := c.threads[tid], c.m.Threads[tid]
+	c.cps = append(c.cps, pinball.Checkpoint{
+		Tid: tid, Seq: th.n, Idx: th.idx, Step: th.at,
+		Hash: th.h, PC: t.PC, Regs: t.Regs,
+	})
+	th.left = c.every
+	th.h = fnv1a.Offset // windowed: the next checkpoint hashes afresh
+}
+
+// seal emits the open (partial) window of thread tid, or with tid < 0
+// of every thread, so a thread's trailing instructions are verified too.
+// A thread's registers change only when it runs, so they are read now.
+func (c *checkpointer) seal(tid int) {
+	for t, th := range c.threads {
+		if (tid < 0 || t == tid) && th != nil && th.left != c.every {
+			c.emit(t)
+		}
 	}
 }
 

@@ -21,11 +21,17 @@ func TestCheckpointsRecordedAtCadence(t *testing.T) {
 	if len(pb.Checkpoints) == 0 {
 		t.Fatal("no checkpoints recorded")
 	}
+	// Every window is on cadence except each thread's trailing one,
+	// which ends at the thread's last instruction.
+	ran := map[int]int64{}
+	for _, q := range pb.Quanta {
+		ran[q.Tid] += q.Count
+	}
 	lastSeq := map[int]int64{}
 	total := pb.TotalQuantumInstrs()
 	for _, cp := range pb.Checkpoints {
-		if cp.Seq%16 != 0 || cp.Seq <= 0 {
-			t.Errorf("checkpoint Seq %d is not a positive multiple of the cadence", cp.Seq)
+		if (cp.Seq%16 != 0 && cp.Seq != ran[cp.Tid]) || cp.Seq <= 0 {
+			t.Errorf("thread %d checkpoint Seq %d is neither a positive multiple of the cadence nor its last instruction (%d)", cp.Tid, cp.Seq, ran[cp.Tid])
 		}
 		if cp.Seq <= lastSeq[cp.Tid] {
 			t.Errorf("thread %d checkpoint Seq %d not increasing", cp.Tid, cp.Seq)
@@ -33,6 +39,11 @@ func TestCheckpointsRecordedAtCadence(t *testing.T) {
 		lastSeq[cp.Tid] = cp.Seq
 		if cp.Step <= 0 || cp.Step > total {
 			t.Errorf("checkpoint Step %d outside region of %d", cp.Step, total)
+		}
+	}
+	for tid, n := range ran {
+		if lastSeq[tid] != n {
+			t.Errorf("thread %d ran %d instructions, last checkpoint at %d", tid, n, lastSeq[tid])
 		}
 	}
 }
@@ -134,6 +145,59 @@ func TestRelogCarriesSliceCheckpoints(t *testing.T) {
 	}
 	if rep.Checked != len(spb.Checkpoints) {
 		t.Fatalf("slice replay checked %d of %d checkpoints", rep.Checked, len(spb.Checkpoints))
+	}
+}
+
+// TestShortThreadWindowVerified tampers with the input a short worker
+// thread reads: the thread runs fewer instructions than one checkpoint
+// window and nothing else reads what it computes, so only the
+// checkpoint sealing its trailing partial window can catch the replay
+// going wrong.
+func TestShortThreadWindowVerified(t *testing.T) {
+	prog := compileT(t, `
+int a;
+int got;
+int worker(int n) {
+	got = read() * n;
+	return 0;
+}
+int main() {
+	int i;
+	int t;
+	t = spawn(worker, 3);
+	for (i = 0; i < 100; i++) { a = a + i; }
+	join(t);
+	write(a);
+	return 0;
+}`)
+	const every = 64
+	pb, err := Log(prog, LogConfig{Seed: 3, MeanQuantum: 13, CheckpointEvery: every, Input: []int64{5}}, RegionSpec{})
+	if err != nil {
+		t.Fatalf("log: %v", err)
+	}
+	var ran int64
+	for _, q := range pb.Quanta {
+		if q.Tid == 1 {
+			ran += q.Count
+		}
+	}
+	if ran == 0 || ran >= every {
+		t.Fatalf("worker ran %d instructions, want a partial window of fewer than %d", ran, every)
+	}
+	tampered := false
+	for i := range pb.Syscalls {
+		if pb.Syscalls[i].Tid == 1 {
+			pb.Syscalls[i].Ret++
+			tampered = true
+		}
+	}
+	if !tampered {
+		t.Fatal("worker made no syscall to tamper with")
+	}
+	_, _, err = ReplayWith(prog, pb, ReplayOptions{})
+	var de *DivergenceError
+	if !errors.As(err, &de) || de.Div.Tid != 1 {
+		t.Fatalf("replay of a tampered worker input: err = %v, want a divergence in thread 1", err)
 	}
 }
 

@@ -306,9 +306,12 @@ func (r *Recorder) Finish(m *vm.Machine, endReason string) *pinball.Pinball {
 		EndReason:    endReason,
 		Failure:      m.Failure(),
 	}
-	if r.tracer.ck != nil {
+	if ck := r.tracer.ck; ck != nil {
+		// The trailing partial windows join the checkpoint stream here,
+		// ahead of the final journal flush or ring seal that writes them.
+		ck.seal(-1)
 		pb.CheckpointEvery = r.every
-		pb.Checkpoints = r.tracer.ck.cps
+		pb.Checkpoints = ck.cps
 	}
 	if r.ring != nil {
 		// Ring mode: the retained streams live in the sealed windows, not

@@ -63,6 +63,9 @@ func RelogWith(prog *isa.Program, pb *pinball.Pinball, exclusions []pinball.Excl
 	if err := c.Run(); err != nil {
 		return nil, err
 	}
+	if rt.ck != nil {
+		rt.ck.seal(-1)
+	}
 
 	out := &pinball.Pinball{
 		ProgramName:  pb.ProgramName,
@@ -148,6 +151,15 @@ func (r *relogTracer) OnInstr(ev *vm.InstrEvent) {
 		}
 		if r.ck != nil {
 			r.ck.observe(ev)
+			// Excluded instructions never reach the checkpointer: seal the
+			// window before the thread's last exclusion, which may run to
+			// its end and leave a state the slice replay never reaches.
+			if ev.Tid < len(r.perThread) {
+				lst, p := r.perThread[ev.Tid], r.pos[ev.Tid]
+				if p == len(lst)-1 && lst[p].FromIdx == ev.Idx+1 {
+					r.ck.seal(ev.Tid)
+				}
+			}
 		}
 		if n := len(r.quanta); n > 0 && r.quanta[n-1].Tid == ev.Tid {
 			r.quanta[n-1].Count++

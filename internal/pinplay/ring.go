@@ -114,10 +114,15 @@ func (r *Recorder) sealRing() { r.sealRingWindow(false) }
 // interrupted ring journal recoverable as a fully bridgeable pinball.
 func (r *Recorder) sealRingWindow(final bool) {
 	rs := r.ring
+	// Checkpoints are written even when no instruction ran since the
+	// last seal: the final seal carries the trailing partial windows.
+	dq, dc := r.takeDeltas()
+	if r.jw != nil && len(dc) > 0 {
+		r.jw.AppendChunk(nil, nil, nil, dc)
+	}
 	if rs.step == rs.sealedTo {
 		return
 	}
-	dq, dc := r.takeDeltas()
 	ds, de := r.tracer.syscalls, r.tracer.edges
 	r.tracer.syscalls, r.tracer.edges = nil, nil
 
@@ -129,9 +134,6 @@ func (r *Recorder) sealRingWindow(final bool) {
 	rs.sealedTo = rs.step
 	rs.hash = fnv1a.Offset // windowed: the next window hashes afresh
 	if r.jw != nil {
-		if len(dc) > 0 {
-			r.jw.AppendChunk(nil, nil, nil, dc)
-		}
 		r.jw.AppendWindowSeal(w.id, w.fromStep, w.toStep, w.hash)
 	}
 	rs.admit(w, final)
