@@ -23,24 +23,24 @@ type golden struct {
 // bit for bit: a change to the interpreter's hot path, the checkpoint
 // fold or the recorder that alters any recorded byte shows up here.
 var goldenRecordings = map[string]golden{
-	"aget":          {0x9a25fdddbb0714d9, 60080, 59},
-	"ammp":          {0xabba7dea9cf0c402, 78771, 77},
-	"apsi":          {0xba952cffa34e95bb, 78771, 77},
-	"blackscholes":  {0x2a6d30d19f17be26, 78771, 77},
-	"canneal":       {0xfde9a37c4f8be67b, 78771, 77},
-	"dedup":         {0x4d508d3d723538d5, 78834, 77},
-	"fluidanimate":  {0xbfd5375bc1006353, 78771, 77},
-	"galgel":        {0x4dc8abae79b0e545, 78771, 77},
-	"mgrid":         {0x3808edc328acd0d1, 78771, 77},
-	"mozilla":       {0x9b58ea46cddc90ed, 10085, 9},
-	"pbzip2":        {0xbc9ca8f5436fd17, 42486, 41},
-	"ring:mgrid":    {0x890b34beb2efc11a, 78771, 77},
-	"slice:canneal": {0xeffc5d6b2e90635a, 70771, 69},
-	"streamcluster": {0x6c7f71e48a9e94e5, 78771, 77},
-	"swaptions":     {0xf5ae03fc85621c91, 78771, 77},
-	"vips":          {0x27b34d6862f3121b, 78771, 77},
-	"wupwise":       {0xba046c0e2bc9aff9, 78771, 77},
-	"x264":          {0xd0d58bc46beac71a, 78771, 77},
+	"aget":          {0x88ff1c500e372d00, 60080, 62},
+	"ammp":          {0x3bf86e65dd4a156e, 78771, 80},
+	"apsi":          {0xdf090168782c90d1, 78771, 80},
+	"blackscholes":  {0xa73aaad917ef2258, 78771, 80},
+	"canneal":       {0xb0c4e246f31f2985, 78771, 80},
+	"dedup":         {0x13a3e7b5e11e91a0, 78834, 80},
+	"fluidanimate":  {0x9cf8b8a0afd1616d, 78771, 80},
+	"galgel":        {0xa420d4514ca78dcc, 78771, 80},
+	"mgrid":         {0x296774cd8814d113, 78771, 80},
+	"mozilla":       {0x2fc9371ea8172f1e, 10085, 11},
+	"pbzip2":        {0xe99eb153bd26c380, 42486, 43},
+	"ring:mgrid":    {0x56d669cdf69844f2, 78771, 80},
+	"slice:canneal": {0xffed93db4c3f6cad, 70771, 76},
+	"streamcluster": {0xb9c70c3924f1a4a1, 78771, 80},
+	"swaptions":     {0x6ad5bbc04339527a, 78771, 80},
+	"vips":          {0xcb4b59b65e941188, 78771, 80},
+	"wupwise":       {0x775b595ddde73171, 78771, 80},
+	"x264":          {0x6ee6800452e132ff, 78771, 80},
 }
 
 // TestGoldenRecordings records every registry workload, one ring
