@@ -68,12 +68,16 @@ soak:
 # corruptor's output. A slice shard hop over an arbitrary wire query
 # state (the state every daemon slice runs through) must reject it with
 # ErrBadState or answer a state the next hop accepts; its seeds are real
-# shard-chain states and the malformed states the shard tests pin.
+# shard-chain states and the malformed states the shard tests pin. A
+# store manifest replay must fail with ErrManifestCorrupt or, untorn,
+# survive compaction with equal entries; its seeds are real manifests
+# and the ones the store corruptors leave.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/pinball/
 	$(GO) test -run '^$$' -fuzz '^FuzzSalvage$$' -fuzztime $(FUZZTIME) ./internal/pinball/
 	$(GO) test -run '^$$' -fuzz '^FuzzSliceShardState$$' -fuzztime $(FUZZTIME) ./internal/slice/
+	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime $(FUZZTIME) ./internal/store/
 
 # Multi-process fleet chaos soak: a real drserved coordinator fronting
 # three real drserved workers, 100 concurrent clients, one worker
@@ -102,14 +106,18 @@ ring-chaos:
 # corruptor matrix (bit-flipped chunk, torn manifest tail, dangling
 # index entry, duplicate-digest collision — each caught as its declared
 # typed sentinel; grid artifact written to store-grid.json), the store
-# and spool-cache unit suites, then the multi-process GC-under-load
-# soak: a coordinator over three stored workers, digest-only clients,
-# one worker SIGKILLed mid-fetch, one object corrupted under load and
-# GC running concurrently. STORE_SOAK_REQS scales the soak.
+# and LRU unit suites, the daemon's digest resolver ladder (clean hit,
+# peer re-fetch, heal, salvage, GC between requests, shared first
+# loads) and concurrent sessions sharing one decoded pinball, then the
+# multi-process GC-under-load soak: a coordinator over three stored
+# workers, digest-only clients, one worker SIGKILLed mid-fetch, one
+# object corrupted under load and its worker restarted, and GC running
+# concurrently. STORE_SOAK_REQS scales the soak.
 STORE_SOAK_REQS ?= 3
 store-chaos:
 	DRDEBUG_STORE_GRID=$(CURDIR)/store-grid.json $(GO) test -race -count=1 -run 'TestStore' -v ./internal/faultinject/
 	$(GO) test -race -count=1 ./internal/store/ ./internal/lru/
+	$(GO) test -race -count=1 -run 'TestResolver' ./internal/sessiond/
 	DRDEBUG_SOAK_REQS=$(STORE_SOAK_REQS) $(GO) test -race -count=1 -run TestStoreChaosSoak -v ./internal/fleet/
 
 # Regenerate BENCH_ring.json (flight-recorder ring overhead).

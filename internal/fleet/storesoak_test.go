@@ -95,12 +95,15 @@ func TestStoreChaosSoak(t *testing.T) {
 	_ = coord
 	var workers [3]*exec.Cmd
 	var workerAddrs [3]string
-	for i := range workers {
+	startWorker := func(i int) {
 		workers[i], workerAddrs[i] = startDaemon(t, bin, fmt.Sprintf("w%d", i+1),
 			"-addr", "127.0.0.1:0", "-join", coordAddr,
 			"-worker-name", fmt.Sprintf("w%d", i+1),
 			"-store", roots[i],
 			"-max-sessions", "8", "-max-queue", "32")
+	}
+	for i := range workers {
+		startWorker(i)
 	}
 
 	// Wait until all three workers registered, then seed the store
@@ -317,9 +320,11 @@ func TestStoreChaosSoak(t *testing.T) {
 
 	// Mid-run chaos: the replica-less worker dies outright mid-fetch;
 	// then one live holder's replica is bit-flipped while reads are in
-	// flight, and its spool copy dropped so the next digest session must
-	// re-materialize through the damaged objects — and heal from the
-	// surviving clean holder.
+	// flight, and that worker restarted on the same store root. The old
+	// process keeps no copy on disk — it serves the pinball it decoded
+	// before the flip from memory — so the restart, whose resolver cache
+	// starts empty, is what makes the next digest session read through
+	// the damaged objects and heal from the surviving clean holder.
 	time.Sleep(300 * time.Millisecond)
 	if err := workers[killIdx].Process.Kill(); err != nil {
 		t.Fatalf("SIGKILL w%d: %v", killIdx+1, err)
@@ -335,11 +340,16 @@ func TestStoreChaosSoak(t *testing.T) {
 		t.Fatalf("flip hot chunk: %v", err)
 	}
 	t.Logf("corrupted under load: bit-flipped %s (chunk of %s)", victim, digest)
+	if err := workers[corruptIdx].Process.Kill(); err != nil {
+		t.Fatalf("SIGKILL w%d: %v", corruptIdx+1, err)
+	}
+	workers[corruptIdx].Wait()
+	startWorker(corruptIdx)
+	t.Logf("restarted w%d on %s", corruptIdx+1, corruptRoot)
 	cs, err := store.Open(corruptRoot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Remove(cs.SpoolPath(digest))
 	close(chaosDone)
 
 	done := make(chan struct{})
@@ -433,6 +443,13 @@ func TestStoreChaosSoak(t *testing.T) {
 		}
 	} else if !storeTypedSoakErr(err) {
 		t.Errorf("corrupted replica read failed untyped: %v", err)
+	}
+	// Digest sessions open a pinball decoded in memory: no store root
+	// gains a second on-disk copy of it.
+	for _, root := range roots {
+		if _, err := os.Stat(filepath.Join(root, "spool")); !os.IsNotExist(err) {
+			t.Errorf("store root %s has a spool directory (stat err %v)", root, err)
+		}
 	}
 }
 

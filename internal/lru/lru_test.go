@@ -278,9 +278,9 @@ func TestEvictedWhileLoadingReloads(t *testing.T) {
 	}
 }
 
-// TestEvictionRacesStoreFetch models the sessiond spool cache under a
+// TestEvictionRacesStoreFetch models the sessiond resolver cache under a
 // slicing storm: a tiny cache, many concurrent GetOrLoadCtx fetches of
-// distinct digests (each a slow materialization), eviction churn from
+// distinct digests (each a slow store read and decode), eviction churn from
 // Puts, and Remove invalidations racing it all. The contract under
 // -race: every caller gets exactly its own key's value, and the cache
 // never exceeds capacity once the dust settles.
@@ -308,7 +308,7 @@ func TestEvictionRacesStoreFetch(t *testing.T) {
 				}
 			}(round, k)
 		}
-		// Concurrent invalidation: a GC deciding spooled files are stale.
+		// Concurrent invalidation: a GC collecting resolved entries.
 		wg.Add(1)
 		go func(round int) {
 			defer wg.Done()

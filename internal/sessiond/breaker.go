@@ -1,13 +1,12 @@
 package sessiond
 
 import (
-	"fmt"
-	"hash/fnv"
-	"io"
 	"os"
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/store"
 )
 
 // BreakerConfig tunes a circuit breaker.
@@ -67,26 +66,18 @@ func NewBreaker(cfg BreakerConfig, now func() time.Time) *Breaker {
 	return &Breaker{cfg: cfg.withDefaults(), now: now, entries: make(map[string]*breakerEntry)}
 }
 
-// pinballContentID digests a pinball file's bytes for breaker keying.
-// Unlike pinball.Pinball.ID it works on files that do not even load —
-// the breaker's most important customers. An unreadable file keys on
-// its path (the best identity available).
+// pinballContentID keys a pinball file on its store content digest,
+// "digest:<hex>" — the same key a request naming those bytes by digest
+// gets, so both share one circuit and one rendezvous owner. Unlike
+// pinball.Pinball.ID it works on files that do not even load — the
+// breaker's most important customers. An unreadable file keys on its
+// path (the best identity available).
 func pinballContentID(path string) string {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return "path:" + path
 	}
-	defer f.Close()
-	h := fnv.New64a()
-	if _, err := io.Copy(h, f); err != nil {
-		return "path:" + path
-	}
-	var buf [8]byte
-	sum := h.Sum64()
-	for i := range buf {
-		buf[i] = byte(sum >> (8 * i))
-	}
-	return string(buf[:])
+	return "digest:" + store.Digest(data)
 }
 
 // RouteKey derives a stable routing identity for a request — the key
@@ -171,7 +162,7 @@ func (b *Breaker) Snapshot() []BreakerState {
 	out := make([]BreakerState, 0, len(b.entries))
 	for id, e := range b.entries {
 		st := BreakerState{
-			Pinball:     fmt.Sprintf("%x", id),
+			Pinball:     id,
 			Open:        now.Before(e.openUntil),
 			Consecutive: e.consecutive,
 			LastCode:    e.lastCode,

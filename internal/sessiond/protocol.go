@@ -294,7 +294,7 @@ type HealthResult struct {
 }
 
 // BreakerState is one pinball circuit's live state in StatsResult:
-// the content key (hex), whether the circuit is open, the consecutive
+// the content key ("digest:<hex>"), whether the circuit is open, the consecutive
 // failure count, the cached failure code, and — while open — the
 // cooldown deadline in Unix milliseconds.
 type BreakerState struct {

@@ -7,6 +7,7 @@ import (
 
 	drdebug "repro"
 	"repro/internal/core"
+	"repro/internal/pinball"
 	"repro/internal/slice"
 	"repro/internal/supervisor"
 	"repro/internal/tracer"
@@ -82,11 +83,15 @@ type sessionResult struct {
 	report     *supervisor.Report
 }
 
-// runner executes admitted session requests. It is stateless; all
-// policy (quotas, retry, chaos) arrives from the server's config.
+// runner executes one admitted session request. All policy (quotas,
+// retry, chaos) arrives from the server's config.
 type runner struct {
 	sup   supervisor.Options
 	chaos func(op string) vm.Tracer // test-only fault injection, nil in production
+	// pb is the store-resolved pinball of a digest-named request, shared
+	// read-only with every other session on the digest; nil when the
+	// request names a pinball path.
+	pb *pinball.Pinball
 }
 
 // chaosTracer returns the injected observer for ops that replay, nil
@@ -124,21 +129,27 @@ func loadProgram(req *Request) (*drdebug.Program, error) {
 	return nil, badRequest("need file or workload")
 }
 
-// loadSession opens the request's pinball (path in field; salvage per
-// the request), reporting whether salvage ran.
-func loadSession(prog *drdebug.Program, path string, salvage bool, limits vm.Limits, sup supervisor.Options) (*core.Session, bool, error) {
-	if path == "" {
-		return nil, false, badRequest("need pinball")
-	}
+// loadSession opens a session on pb when it is set (a digest-named
+// request's resolved pinball), else on the pinball file at path
+// (salvaged per the request), reporting whether salvage ran.
+func loadSession(prog *drdebug.Program, pb *pinball.Pinball, path string, salvage bool, limits vm.Limits, sup supervisor.Options) (*core.Session, bool, error) {
 	var sess *core.Session
 	var salvaged bool
-	if salvage {
+	switch {
+	case pb != nil:
+		if pb.ProgramName != prog.Name {
+			return nil, false, fmt.Errorf("core: pinball was recorded from %q, not %q", pb.ProgramName, prog.Name)
+		}
+		sess = core.Open(prog, pb)
+	case path == "":
+		return nil, false, badRequest("need pinball")
+	case salvage:
 		s, rep, err := core.LoadSessionSalvage(prog, path)
 		if err != nil {
 			return nil, false, err
 		}
 		sess, salvaged = s, rep != nil && !rep.Intact
-	} else {
+	default:
 		s, err := core.LoadSession(prog, path)
 		if err != nil {
 			return nil, false, err
@@ -203,7 +214,7 @@ func (r *runner) replay(req *Request, limits vm.Limits) (*sessionResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	sess, salvaged, err := loadSession(prog, req.Pinball, req.Salvage, limits, r.sup)
+	sess, salvaged, err := loadSession(prog, r.pb, req.Pinball, req.Salvage, limits, r.sup)
 	if err != nil {
 		return nil, err
 	}
@@ -283,7 +294,7 @@ func (r *runner) query(req *Request, limits vm.Limits, st *slice.QueryState, win
 	if err != nil {
 		return nil, payload, err
 	}
-	sess, salvaged, err := loadSession(prog, req.Pinball, req.Salvage, limits, r.sup)
+	sess, salvaged, err := loadSession(prog, r.pb, req.Pinball, req.Salvage, limits, r.sup)
 	if err != nil {
 		return nil, payload, err
 	}
@@ -375,11 +386,11 @@ func (r *runner) dualSlice(req *Request, limits vm.Limits) (*sessionResult, erro
 	if err != nil {
 		return nil, err
 	}
-	failing, salvaged, err := loadSession(prog, req.Pinball, req.Salvage, limits, r.sup)
+	failing, salvaged, err := loadSession(prog, r.pb, req.Pinball, req.Salvage, limits, r.sup)
 	if err != nil {
 		return nil, err
 	}
-	passing, _, err := loadSession(prog, req.PassingPinball, req.Salvage, limits, r.sup)
+	passing, _, err := loadSession(prog, nil, req.PassingPinball, req.Salvage, limits, r.sup)
 	if err != nil {
 		return nil, err
 	}
@@ -415,16 +426,10 @@ func (r *runner) dualSlice(req *Request, limits vm.Limits) (*sessionResult, erro
 func breakerKey(req *Request) string {
 	switch req.Op {
 	case OpReplay, OpSlice, OpDualSlice, OpSliceShard:
-		// Digest-named requests already carry their content identity; the
-		// resolved spool path must share the circuit with every other
-		// request for the same digest, whatever path it materialized to.
-		if req.Digest != "" {
-			return "digest:" + req.Digest
-		}
-		if req.Pinball == "" {
+		if req.Digest == "" && req.Pinball == "" {
 			return ""
 		}
-		return pinballContentID(req.Pinball)
+		return RouteKey(req)
 	}
 	return ""
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	cfgpkg "repro/internal/cfg"
+	"repro/internal/pinball"
 	"repro/internal/slice"
 	"repro/internal/store"
 	"repro/internal/supervisor"
@@ -45,9 +46,6 @@ type Config struct {
 	Locator Locator
 	// StoreRetry tunes the peer re-fetch ladder (zero = defaults).
 	StoreRetry StoreRetry
-	// SpoolCacheCap bounds the digest→spool-path resolution cache
-	// (0 = 64).
-	SpoolCacheCap int
 	// Logf logs server events (nil = silent).
 	Logf func(format string, args ...any)
 	// Chaos, when set, supplies a fault-injection observer for replaying
@@ -119,7 +117,7 @@ func New(c Config) *Server {
 		conns:      make(map[net.Conn]struct{}),
 	}
 	if c.Store != nil {
-		s.resolver = newStoreResolver(c.Store, c.Locator, c.StoreRetry, c.SpoolCacheCap, c.Logf)
+		s.resolver = newStoreResolver(c.Store, c.Locator, c.StoreRetry, c.Logf)
 	}
 	return s
 }
@@ -251,9 +249,11 @@ func (s *Server) dispatch(req *Request, remote string, send func(Response)) {
 	s.accepted.Add(1)
 
 	// Resolve a digest-named pinball through the store before the
-	// session runs: materialize (healing from peers as needed) and lease
-	// the entry so GC cannot collect it while the session is live. Any
-	// degradation the resolution incurred annotates the final answer.
+	// session runs: decode it once per process (healing from peers as
+	// needed) and lease the entry so GC cannot collect it while the
+	// session is live. Any degradation the resolution incurred annotates
+	// the final answer.
+	var pb *pinball.Pinball
 	var resolveAnn string
 	if req.Digest != "" && req.Op != OpRecord {
 		if s.resolver == nil {
@@ -268,7 +268,9 @@ func (s *Server) dispatch(req *Request, remote string, send func(Response)) {
 				Error: "sessiond: bad request: pinball and digest are mutually exclusive"})
 			return
 		}
-		path, ann, release, rerr := s.resolver.resolve(s.hardCtx, req.Digest)
+		var release func()
+		var rerr error
+		pb, resolveAnn, release, rerr = s.resolver.resolve(s.hardCtx, req.Digest, req.Salvage)
 		if rerr != nil {
 			s.failed.Add(1)
 			code := storeErrorCode(rerr)
@@ -279,10 +281,6 @@ func (s *Server) dispatch(req *Request, remote string, send func(Response)) {
 			return
 		}
 		defer release()
-		clone := *req
-		clone.Pinball = path
-		req = &clone
-		resolveAnn = ann
 	}
 
 	sup := s.cfg.Supervisor
@@ -300,7 +298,7 @@ func (s *Server) dispatch(req *Request, remote string, send func(Response)) {
 		// extra attempt.
 		sup.RetryBudget = 2 * sup.Watchdog
 	}
-	r := &runner{sup: sup, chaos: s.cfg.Chaos}
+	r := &runner{sup: sup, chaos: s.cfg.Chaos, pb: pb}
 	res, err := r.run(req, limits)
 	if err != nil {
 		s.failed.Add(1)

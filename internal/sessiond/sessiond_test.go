@@ -16,6 +16,7 @@ import (
 	"repro/internal/pinball"
 	"repro/internal/pinplay"
 	"repro/internal/slice"
+	"repro/internal/store"
 	"repro/internal/supervisor"
 	"repro/internal/vm"
 
@@ -511,6 +512,25 @@ func TestBreakerCooldownAndReset(t *testing.T) {
 	}
 	if n := b.OpenCount(); n != 0 {
 		t.Fatalf("openCount = %d, want 0", n)
+	}
+}
+
+// TestContentKeyPathMatchesDigest: naming a pinball by path or by its
+// store digest yields one content key, so both share one circuit and
+// one rendezvous owner.
+func TestContentKeyPathMatchesDigest(t *testing.T) {
+	f := makeDaemonFixture(t)
+	data, err := os.ReadFile(f.good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byPath := &Request{Op: OpSlice, File: f.src, Pinball: f.good}
+	byDigest := &Request{Op: OpSlice, File: f.src, Digest: store.Digest(data)}
+	if p, d := RouteKey(byPath), RouteKey(byDigest); p != d {
+		t.Errorf("RouteKey by path %q, by digest %q", p, d)
+	}
+	if p, d := breakerKey(byPath), breakerKey(byDigest); p != d || p == "" {
+		t.Errorf("breakerKey by path %q, by digest %q", p, d)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -73,56 +72,66 @@ var errStoreUnavailable = errors.New("store unavailable")
 
 // storeErrorCode maps a store-layer failure onto the wire protocol.
 // Availability problems are CodeStoreUnavailable; content damage —
-// corrupt or missing objects, digest mismatches, manifest damage — is
-// CodeCorrupt, which is pinballAttributable and opens the digest's
-// circuit exactly like a corrupt path-named pinball would.
+// corrupt or missing objects, digest mismatches, manifest damage, or
+// validated bytes that do not decode — is CodeCorrupt, which is
+// pinballAttributable and opens the digest's circuit exactly like a
+// corrupt path-named pinball would.
 func storeErrorCode(err error) string {
-	var be *badRequestError
 	switch {
-	case errors.As(err, &be):
-		return CodeBadRequest
-	case errors.Is(err, errStoreUnavailable):
-		return CodeStoreUnavailable
-	case errors.Is(err, store.ErrNotFound):
+	case errors.Is(err, errStoreUnavailable), errors.Is(err, store.ErrNotFound):
 		return CodeStoreUnavailable
 	case errors.Is(err, store.ErrObjectCorrupt),
 		errors.Is(err, store.ErrObjectMissing),
 		errors.Is(err, store.ErrDigestMismatch),
 		errors.Is(err, store.ErrManifestCorrupt),
-		errors.Is(err, store.ErrManifestTorn),
-		errors.Is(err, pinball.ErrNotPinball):
+		errors.Is(err, store.ErrManifestTorn):
 		return CodeCorrupt
 	}
-	return CodeInternal
+	return errorCode(err)
 }
 
-// resolvedPinball is one digest's spooled materialization, the spool
-// cache's value type. sticky marks content-level degradation (the spool
-// holds salvaged bytes) that every user of the copy must surface;
-// healed marks the one-time repair work whose annotation belongs only
-// to the requests that waited for it.
+// resolvedPinball is one digest's decoded pinball, the resolver cache's
+// value type. The pinball is immutable once cached and shared by every
+// session on the digest. sticky marks content-level degradation (a
+// salvaged pinball) that every user must surface; healed marks the
+// one-time repair work whose annotation belongs only to the requests
+// that waited for it.
 type resolvedPinball struct {
-	path   string
-	sticky string // CodeSalvaged when the spool holds salvaged bytes, else ""
-	healed bool   // the load repaired or re-fetched before materializing
+	pb     *pinball.Pinball
+	sticky string // CodeSalvaged when pb was salvaged, else ""
+	healed bool   // the load repaired or re-fetched before decoding
 }
 
-// storeResolver turns a content digest into a server-local pinball path
-// a session can load, healing as needed. The ladder, in order:
+// undecodableError is a validated store read whose bytes do not decode:
+// the stored content itself is broken, so no peer can replace it. It
+// keeps the bytes for a request that asked for salvage.
+type undecodableError struct {
+	data []byte
+	err  error
+}
+
+func (e *undecodableError) Error() string { return e.err.Error() }
+func (e *undecodableError) Unwrap() error { return e.err }
+
+// resolverCacheCap bounds the digest → decoded pinball cache.
+const resolverCacheCap = 64
+
+// storeResolver turns a content digest into a decoded pinball a session
+// can open, healing as needed. The ladder, in order:
 //
-//  1. materialize the validated local copy to the spool;
+//  1. read the validated local copy and decode it;
 //  2. on damage or absence: re-fetch the full file by digest from fleet
 //     peers (bounded attempts, decorrelated-jitter backoff, hedged
 //     fallback to the rendezvous successor), heal the local store with
-//     the validated bytes, and materialize — annotated CodeHealed;
+//     the validated bytes, and decode them — annotated CodeHealed;
 //  3. on unhealable damage: salvage the surviving local bytes
-//     (quarantined copies included) into a degraded-but-loadable
-//     pinball — annotated CodeSalvaged;
+//     (quarantined copies included) into a degraded-but-replayable
+//     pinball, kept in memory only — annotated CodeSalvaged;
 //  4. fail typed: CodeStoreUnavailable if nobody reachable holds the
 //     digest, CodeCorrupt if the content itself is beyond recovery.
 //
 // Resolutions are cached in a single-flight LRU keyed by digest, so
-// concurrent sessions on one digest share one materialization (and one
+// concurrent sessions on one digest share one decoded pinball (and one
 // heal), exactly like the engine cache shares hot slicers.
 type storeResolver struct {
 	st      *store.Store
@@ -133,13 +142,10 @@ type storeResolver struct {
 	dial func(addr string, d time.Duration) (*Client, error)
 	// rnd is the backoff jitter source (nil = math/rand).
 	rnd   func() float64
-	spool *lru.Cache[string, resolvedPinball]
+	cache *lru.Cache[string, resolvedPinball]
 }
 
-func newStoreResolver(st *store.Store, loc Locator, retry StoreRetry, spoolCap int, logf func(string, ...any)) *storeResolver {
-	if spoolCap <= 0 {
-		spoolCap = 64
-	}
+func newStoreResolver(st *store.Store, loc Locator, retry StoreRetry, logf func(string, ...any)) *storeResolver {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
@@ -149,79 +155,76 @@ func newStoreResolver(st *store.Store, loc Locator, retry StoreRetry, spoolCap i
 		retry:   retry.withDefaults(),
 		logf:    logf,
 		dial:    DialTimeout,
-		spool:   lru.New[string, resolvedPinball](spoolCap),
+		cache:   lru.New[string, resolvedPinball](resolverCacheCap),
 	}
 }
 
-// resolve materializes digest and leases it for the caller's session.
-// It returns the spooled path, the degradation annotation the session's
-// answer must carry ("" for a clean cache hit), and a release func that
-// ends the GC lease — the caller must run it when the session finishes.
-func (r *storeResolver) resolve(ctx context.Context, digest string) (path, ann string, release func(), err error) {
+// resolve returns digest's decoded pinball leased for the caller's
+// session, the degradation annotation the session's answer must carry
+// ("" for a clean cache hit), and a release func that ends the GC
+// lease — the caller must run it when the session finishes. With
+// salvage set, stored bytes that validate but do not decode are
+// salvaged for this request (annotated CodeSalvaged) instead of failing.
+func (r *storeResolver) resolve(ctx context.Context, digest string, salvage bool) (*pinball.Pinball, string, func(), error) {
 	if !store.ValidDigest(digest) {
-		return "", "", nil, badRequest("bad digest %q", digest)
+		return nil, "", nil, badRequest("bad digest %q", digest)
 	}
-	for attempt := 0; attempt < 2; attempt++ {
-		v, fresh, lerr := r.lookup(ctx, digest)
-		if lerr != nil {
-			return "", "", nil, lerr
+	for attempt := 0; ; attempt++ {
+		v, fresh, err := r.lookup(ctx, digest)
+		var ue *undecodableError
+		if salvage && errors.As(err, &ue) {
+			if pb, _, serr := pinball.SalvageBytes(ue.data); serr == nil {
+				v, err = resolvedPinball{pb: pb, sticky: CodeSalvaged}, nil
+			}
 		}
-		rel, aerr := r.st.Acquire(digest)
-		if aerr != nil {
-			// GC collected the entry between materialization and lease (or
-			// another process healed the world out from under us). Drop the
-			// cached resolution and rebuild once.
-			r.spool.Remove(digest)
+		if err != nil {
+			return nil, "", nil, err
+		}
+		release, err := r.st.Acquire(digest)
+		if errors.Is(err, store.ErrNotFound) {
+			// GC collected the entry after it was resolved: drop the
+			// cached pinball and run the ladder once more, so the lease
+			// protects an entry that exists.
+			r.cache.Remove(digest)
 			if attempt == 0 {
 				continue
 			}
-			return "", "", nil, aerr
 		}
-		// With the lease held GC can no longer touch the spool file; if it
-		// vanished before we got here, rebuild.
-		if _, serr := os.Stat(v.path); serr != nil {
-			rel()
-			r.spool.Remove(digest)
-			continue
+		if err != nil {
+			return nil, "", nil, err
 		}
 		ann := v.sticky
 		if fresh && v.healed && ann == "" {
 			ann = CodeHealed
 		}
-		return v.path, ann, rel, nil
+		return v.pb, ann, release, nil
 	}
-	return "", "", nil, fmt.Errorf("%w: digest %s: could not stabilize a spooled copy against concurrent gc", errStoreUnavailable, digest)
 }
 
 // lookup returns the cached resolution for digest or builds one,
 // reporting whether this caller participated in a fresh load (fresh
 // loads carry the healed annotation; pure cache hits do not).
 func (r *storeResolver) lookup(ctx context.Context, digest string) (resolvedPinball, bool, error) {
-	if v, ok := r.spool.Get(digest); ok {
-		if _, err := os.Stat(v.path); err == nil {
-			return v, false, nil
-		}
-		// Spool file vanished (GC swept an expired lease's spool, or an
-		// operator cleaned up): invalidate and rebuild below.
-		r.spool.Remove(digest)
+	if v, ok := r.cache.Get(digest); ok {
+		return v, false, nil
 	}
-	v, err := r.spool.GetOrLoadCtx(ctx, digest, func(ctx context.Context) (resolvedPinball, error) {
+	v, err := r.cache.GetOrLoadCtx(ctx, digest, func(ctx context.Context) (resolvedPinball, error) {
 		return r.load(ctx, digest)
 	})
 	return v, true, err
 }
 
 // load runs the heal ladder for one digest (single-flight under the
-// spool cache).
+// resolver cache).
 func (r *storeResolver) load(ctx context.Context, digest string) (resolvedPinball, error) {
-	path, err := r.st.Materialize(digest)
+	data, err := r.st.Get(digest)
 	if err == nil {
-		return resolvedPinball{path: path}, nil
+		return decodeResolved(digest, data, false)
 	}
 
 	if errors.Is(err, store.ErrNotFound) {
 		// This daemon never held the digest: plain re-fetch from whoever
-		// the fleet ranks for it, then store and materialize locally.
+		// the fleet ranks for it, then store it locally.
 		data, ferr := r.fetchFromPeers(ctx, digest)
 		if ferr != nil {
 			return resolvedPinball{}, fmt.Errorf("%w: digest %s held by no reachable peer: %v", errStoreUnavailable, digest, ferr)
@@ -229,11 +232,7 @@ func (r *storeResolver) load(ctx context.Context, digest string) (resolvedPinbal
 		if _, perr := r.st.Put(data, store.PutMeta{Kind: "refetch"}); perr != nil {
 			return resolvedPinball{}, fmt.Errorf("store re-fetched %s: %w", digest, perr)
 		}
-		path, merr := r.st.Materialize(digest)
-		if merr != nil {
-			return resolvedPinball{}, merr
-		}
-		return resolvedPinball{path: path, healed: true}, nil
+		return decodeResolved(digest, data, true)
 	}
 
 	// The local copy is damaged (corrupt or missing chunk, assembly
@@ -241,31 +240,35 @@ func (r *storeResolver) load(ctx context.Context, digest string) (resolvedPinbal
 	// replace the whole file from a peer replica.
 	r.logf("sessiond: store copy of %s damaged (%v); healing from peers", digest, err)
 	if data, ferr := r.fetchFromPeers(ctx, digest); ferr == nil {
-		if herr := r.st.Heal(digest, data); herr == nil {
-			if path, merr := r.st.Materialize(digest); merr == nil {
-				return resolvedPinball{path: path, healed: true}, nil
-			}
-		} else {
-			r.logf("sessiond: heal of %s rejected: %v", digest, herr)
+		herr := r.st.Heal(digest, data)
+		if herr == nil {
+			return decodeResolved(digest, data, true)
 		}
+		r.logf("sessiond: heal of %s rejected: %v", digest, herr)
 	}
 
 	// Rung 3: no peer could replace the bytes. Salvage whatever survives
-	// locally (quarantined copies included) into a loadable pinball.
+	// locally (quarantined copies included) into a replayable pinball.
 	if dmg, ok, _ := r.st.GetDamaged(digest); ok {
 		if pb, _, serr := pinball.SalvageBytes(dmg); serr == nil {
-			if out, eerr := pb.EncodeBytes(); eerr == nil {
-				if spath, werr := r.st.SpoolSalvaged(digest, out); werr == nil {
-					r.logf("sessiond: %s unhealable, serving salvaged bytes", digest)
-					return resolvedPinball{path: spath, sticky: CodeSalvaged, healed: true}, nil
-				}
-			}
+			r.logf("sessiond: %s unhealable, serving a salvaged pinball", digest)
+			return resolvedPinball{pb: pb, sticky: CodeSalvaged, healed: true}, nil
 		}
 	}
 
 	// Rung 4: typed failure — the original corruption error, which the
 	// server maps to CodeCorrupt and counts against the digest's circuit.
 	return resolvedPinball{}, err
+}
+
+// decodeResolved decodes digest's validated store bytes into a cache
+// value.
+func decodeResolved(digest string, data []byte, healed bool) (resolvedPinball, error) {
+	pb, err := pinball.Decode(data)
+	if err != nil {
+		return resolvedPinball{}, &undecodableError{data: data, err: fmt.Errorf("pinball: decode stored %s: %w", digest, err)}
+	}
+	return resolvedPinball{pb: pb, healed: healed}, nil
 }
 
 // fetchFromPeers downloads digest's validated bytes from the fleet.

@@ -2,6 +2,7 @@ package slice_test
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/cc"
@@ -115,6 +116,67 @@ int main() {
 	want: 2,
 }}
 
+// workloadRegion records a 5000-instruction main-thread region of a
+// registry workload after skipping 1000.
+func workloadRegion(t *testing.T, name string, cfg pinplay.LogConfig) (*isa.Program, *pinball.Pinball) {
+	t.Helper()
+	w, err := workloads.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := w.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Seed, cfg.RandSeed, cfg.MeanQuantum = 11, 11, 97
+	cfg.Input = w.Input(w.DefaultThreads, 1<<40)
+	pb, err := pinplay.Log(prog, cfg, pinplay.RegionSpec{SkipMain: 1000, LengthMain: 5000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog, pb
+}
+
+// TestSliceFileKeepsDigest: a slice saved as a slice file and resolved
+// back onto its trace has the engine slice's Summarize digest — the
+// same members and the same dependence edges, locations included — on
+// every registry workload, at last and mid-region reads.
+func TestSliceFileKeepsDigest(t *testing.T) {
+	for _, w := range workloads.All() {
+		name := w.Name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			prog, pb := workloadRegion(t, name, pinplay.LogConfig{CheckpointEvery: 1000})
+			sess := core.Open(prog, pb)
+			tr, err := sess.Trace()
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "s.slice")
+			for _, crit := range fidelityCriteria(tr) {
+				sl, err := sess.SliceFor(crit)
+				if err != nil {
+					t.Fatalf("slice %+v: %v", crit, err)
+				}
+				if err := slice.ToFile(prog, tr, sl, nil).Save(path); err != nil {
+					t.Fatal(err)
+				}
+				f, err := slice.LoadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				back, err := f.Resolve(tr)
+				if err != nil {
+					t.Fatalf("resolve %+v: %v", crit, err)
+				}
+				if got, want := slice.Summarize(back), slice.Summarize(sl); got != want {
+					t.Fatalf("criterion %+v: resolved file %+v, engine %+v", crit, got, want)
+				}
+			}
+		})
+	}
+}
+
 // TestExecutionSliceFidelity: a slice pinball executes every member of
 // its slice (paper §4), at the member's original per-thread dynamic
 // index and with identical pc, memory address, memory value, next pc
@@ -167,28 +229,11 @@ func TestExecutionSliceFidelity(t *testing.T) {
 		t.Logf("%d members checked over %d programs", members, seeds)
 	})
 
-	region := func(t *testing.T, name string, cfg pinplay.LogConfig) (*isa.Program, *pinball.Pinball) {
-		w, err := workloads.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prog, err := w.Program()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Seed, cfg.RandSeed, cfg.MeanQuantum = 11, 11, 97
-		cfg.Input = w.Input(w.DefaultThreads, 1<<40)
-		pb, err := pinplay.Log(prog, cfg, pinplay.RegionSpec{SkipMain: 1000, LengthMain: 5000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return prog, pb
-	}
 	for _, w := range workloads.All() {
 		name := w.Name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			prog, pb := region(t, name, pinplay.LogConfig{CheckpointEvery: 1000})
+			prog, pb := workloadRegion(t, name, pinplay.LogConfig{CheckpointEvery: 1000})
 			sess := core.Open(prog, pb)
 			tr, err := sess.Trace()
 			if err != nil {
@@ -199,7 +244,7 @@ func TestExecutionSliceFidelity(t *testing.T) {
 	}
 	t.Run("ring:mgrid", func(t *testing.T) {
 		t.Parallel()
-		prog, pb := region(t, "mgrid", pinplay.LogConfig{CheckpointEvery: 1000, RingBytes: 4000, JournalEvery: 512})
+		prog, pb := workloadRegion(t, "mgrid", pinplay.LogConfig{CheckpointEvery: 1000, RingBytes: 4000, JournalEvery: 512})
 		if !pb.Gapped() {
 			t.Fatal("ring recording evicted nothing")
 		}

@@ -31,6 +31,9 @@ type FileDep struct {
 	ToTid   int
 	ToIdx   int64
 	Kind    DepKind
+	// Loc is the location a data dependence carries (0 for control
+	// edges and in files written before it was kept).
+	Loc tracer.Loc
 	// Provenance/Confidence carry the flight-recorder annotation (zero
 	// for slices over ordinary full traces and for old slice files).
 	Provenance tracer.Provenance
@@ -77,7 +80,7 @@ func ToFile(prog *isa.Program, tr *tracer.Trace, sl *Slice, exclusions []pinball
 		f.Deps = append(f.Deps, FileDep{
 			FromTid: int(d.From.Tid), FromIdx: fe.Idx,
 			ToTid: int(d.To.Tid), ToIdx: te.Idx,
-			Kind: d.Kind, Provenance: d.Provenance, Confidence: d.Confidence,
+			Kind: d.Kind, Loc: d.Loc, Provenance: d.Provenance, Confidence: d.Confidence,
 		})
 	}
 	return f
@@ -107,7 +110,7 @@ func (f *File) Resolve(tr *tracer.Trace) (*Slice, error) {
 		to, ok2 := tr.RefOf(d.ToTid, d.ToIdx)
 		if ok1 && ok2 {
 			sl.addDep(DepEdge{
-				From: from, To: to, Kind: d.Kind,
+				From: from, To: to, Kind: d.Kind, Loc: d.Loc,
 				Provenance: d.Provenance, Confidence: d.Confidence,
 			})
 		}

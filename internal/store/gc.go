@@ -166,16 +166,7 @@ func (s *Store) GC(policy GCPolicy) (*GCReport, error) {
 		return nil, fmt.Errorf("store: object sweep: %w", err)
 	}
 
-	// 4. Spool sweep: whole-file copies of dead entries.
-	spools, _ := filepath.Glob(filepath.Join(s.root, spoolDir, "*.pinball"))
-	for _, p := range spools {
-		d := strings.TrimSuffix(filepath.Base(p), ".pinball")
-		if _, live := s.man.entries[d]; !live && !s.leasedLocked(d) {
-			os.Remove(p)
-		}
-	}
-
-	// 5. Stale lease sweep: lease files whose pid is dead.
+	// 4. Stale lease sweep: lease files whose pid is dead.
 	leases, _ := filepath.Glob(filepath.Join(s.root, leasesDir, "*"))
 	for _, p := range leases {
 		parts := strings.Split(filepath.Base(p), ".")

@@ -78,14 +78,16 @@ type manifest struct {
 // empty store. A torn final line is recovered past (torn=true); any
 // other damage fails with ErrManifestCorrupt.
 func loadManifest(path string) (*manifest, error) {
-	m := &manifest{entries: make(map[string]*Entry)}
 	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return m, nil
-		}
+	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("store: read manifest: %w", err)
 	}
+	return parseManifest(data)
+}
+
+// parseManifest replays manifest file bytes (see loadManifest).
+func parseManifest(data []byte) (*manifest, error) {
+	m := &manifest{entries: make(map[string]*Entry)}
 	if len(data) == 0 {
 		return m, nil
 	}

@@ -24,7 +24,6 @@ import (
 //	  objects/<xx>/<digest>   chunk objects, named by their own content digest
 //	  quarantine/<digest>.<unix>   damaged objects moved aside, never deleted by GC
 //	  leases/<digest>.<pid>.<seq>  open-session markers GC must not collect
-//	  spool/<digest>.pinball       validated whole-file copies for path-based loaders
 //
 // Pinballs are keyed by the FNV-1a 64 digest of their full file bytes —
 // the same content hash the engine cache and circuit breaker key by —
@@ -58,7 +57,6 @@ const (
 	objectsDir    = "objects"
 	quarantineDir = "quarantine"
 	leasesDir     = "leases"
-	spoolDir      = "spool"
 	manifestName  = "manifest.db"
 	lockName      = "lock"
 )
@@ -81,7 +79,7 @@ func ValidDigest(s string) bool { return digestRE.MatchString(s) }
 // silently here and reported by Verify; true mid-file corruption fails
 // typed.
 func Open(root string) (*Store, error) {
-	for _, d := range []string{root, filepath.Join(root, objectsDir), filepath.Join(root, quarantineDir), filepath.Join(root, leasesDir), filepath.Join(root, spoolDir)} {
+	for _, d := range []string{root, filepath.Join(root, objectsDir), filepath.Join(root, quarantineDir), filepath.Join(root, leasesDir)} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
@@ -102,12 +100,6 @@ func (s *Store) manifestPath() string { return filepath.Join(s.root, manifestNam
 
 func (s *Store) objectPath(chunkDigest string) string {
 	return filepath.Join(s.root, objectsDir, chunkDigest[:2], chunkDigest)
-}
-
-// SpoolPath returns where Materialize places the validated whole-file
-// copy of digest. The file exists only after a successful Materialize.
-func (s *Store) SpoolPath(digest string) string {
-	return filepath.Join(s.root, spoolDir, digest+".pinball")
 }
 
 // lock takes the cross-process store lock (flock LOCK_EX on root/lock)
@@ -420,35 +412,6 @@ func (s *Store) Heal(digest string, data []byte) error {
 		}
 	}
 	return s.appendRecords(&record{Op: "add", Entry: entry})
-}
-
-// Materialize writes the validated whole file to the spool and returns
-// its path, for loaders that need a file path rather than bytes. The
-// spool copy is rewritten on every call (a stale or damaged spool file
-// must never outlive the validated read that replaces it).
-func (s *Store) Materialize(digest string) (string, error) {
-	data, err := s.Get(digest)
-	if err != nil {
-		return "", err
-	}
-	path := s.SpoolPath(digest)
-	if err := writeFileAtomic(path, data); err != nil {
-		return "", fmt.Errorf("store: spool %s: %w", digest, err)
-	}
-	return path, nil
-}
-
-// SpoolSalvaged writes salvaged replacement bytes to digest's spool
-// path and returns it. The bytes deliberately do NOT hash to digest —
-// they are pinball.Salvage's best recovery of a damaged entry no peer
-// could replace — so they never enter the object store; callers must
-// annotate anything served from them as salvaged.
-func (s *Store) SpoolSalvaged(digest string, data []byte) (string, error) {
-	path := s.SpoolPath(digest)
-	if err := writeFileAtomic(path, data); err != nil {
-		return "", fmt.Errorf("store: spool salvaged %s: %w", digest, err)
-	}
-	return path, nil
 }
 
 // Info is the public view of one entry.

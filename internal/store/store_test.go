@@ -285,37 +285,35 @@ func TestHealRejectsWrongBytes(t *testing.T) {
 	}
 }
 
-func TestMaterializeSpools(t *testing.T) {
+// TestLeftoverSpoolIgnored: the store keeps no whole-file copies, and a
+// spool directory an older build left under the root is neither
+// created, read nor swept.
+func TestLeftoverSpoolIgnored(t *testing.T) {
 	s := openT(t)
+	if _, err := os.Stat(filepath.Join(s.root, "spool")); !os.IsNotExist(err) {
+		t.Fatalf("Open made a spool directory (stat err %v)", err)
+	}
 	data := recordedPinball(t)
 	digest := Digest(data)
 	if _, err := s.Put(data, PutMeta{}); err != nil {
 		t.Fatalf("put: %v", err)
 	}
-	path, err := s.Materialize(digest)
-	if err != nil {
-		t.Fatalf("materialize: %v", err)
-	}
-	if path != s.SpoolPath(digest) {
-		t.Fatalf("spool path %s, want %s", path, s.SpoolPath(digest))
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read spool: %v", err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("spool bytes differ")
-	}
-	// A stale/garbled spool file must be replaced by the next Materialize.
-	if err := os.WriteFile(path, []byte("stale"), 0o644); err != nil {
+	old := filepath.Join(s.root, "spool", digest+".pinball")
+	if err := os.MkdirAll(filepath.Dir(old), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Materialize(digest); err != nil {
-		t.Fatalf("re-materialize: %v", err)
+	if err := os.WriteFile(old, []byte("stale"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	got, _ = os.ReadFile(path)
-	if !bytes.Equal(got, data) {
-		t.Fatal("stale spool not replaced")
+	got, err := s.Get(digest)
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("get beside a stale spool copy: %v", err)
+	}
+	if _, err := s.GC(GCPolicy{MaxBytes: 1}); err != nil {
+		t.Fatalf("gc: %v", err)
+	}
+	if _, err := os.Stat(old); err != nil {
+		t.Fatalf("gc touched the leftover spool file: %v", err)
 	}
 }
 
