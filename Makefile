@@ -38,14 +38,16 @@ bench:
 
 # One iteration of each parallel slicing-engine benchmark (build, and
 # steady-state query with and without its dependence edges, on a
-# blackscholes region) and of each record and
+# blackscholes region), of each record and
 # validated-replay benchmark (the mgrid kernel region and the
-# checkpoint-cadence toys), so a change that breaks them fails here; the
-# numbers themselves do not gate. -benchmem puts B/op and allocs/op in
-# the log next to ns/op.
+# checkpoint-cadence toys) and of the pinball encode and decode
+# benchmarks (250k-main captures of canneal, mgrid and swaptions), so a
+# change that breaks them fails here; the numbers themselves do not
+# gate. -benchmem puts B/op and allocs/op in the log next to ns/op.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Parallel' -benchtime 1x -benchmem ./internal/slice/
 	$(GO) test -run '^$$' -bench 'Replay|Log' -benchtime 1x -benchmem ./internal/pinplay/
+	$(GO) test -run '^$$' -bench '^Benchmark(Encode|Decode)$$' -benchtime 1x -benchmem ./internal/pinball/
 
 # Crash-injection suite under the race detector: torn files at every
 # section boundary, injected tracer panics, stalled replays, persistent
@@ -64,7 +66,7 @@ soak:
 # Native fuzzing, FUZZTIME per target. Decode must fail with a typed
 # error or round-trip its pinball's digest, and Salvage must fail typed
 # or return a pinball that passes Validate; their seed corpus is every
-# pinball kind's Save encoding, the version 2 fixtures and every file
+# pinball kind's Save encoding, the version 2 and 3 fixtures and every file
 # corruptor's output. A slice shard hop over an arbitrary wire query
 # state (the state every daemon slice runs through) must reject it with
 # ErrBadState or answer a state the next hop accepts; its seeds are real

@@ -108,9 +108,12 @@ func run(file, workload string, seed, quantum int64, input string, skip, length 
 	if err := pb.Save(out); err != nil {
 		return err
 	}
-	sz, _ := pb.EncodedSize()
-	fmt.Printf("pinball %s: %d instructions (%d main thread), end=%s, %d checkpoints, %d bytes compressed\n",
-		out, pb.RegionInstrs, pb.MainInstrs, pb.EndReason, len(pb.Checkpoints), sz)
+	st, err := os.Stat(out)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("pinball %s: %d instructions (%d main thread), end=%s, %d checkpoints, %d bytes\n",
+		out, pb.RegionInstrs, pb.MainInstrs, pb.EndReason, len(pb.Checkpoints), st.Size())
 	if pb.RingBytes > 0 || pb.SampleKeep > 1 || pb.Gapped() {
 		fmt.Printf("flight recorder: %d windows evicted (%d instructions bridgeable on replay), budget %d bytes, sample 1-in-%d\n",
 			len(pb.Evictions), pb.GapInstrs(), pb.RingBytes, max(pb.SampleKeep, 1))

@@ -86,7 +86,7 @@ func run(file, workload, pinballPath string, check, stats bool, salvage bool, re
 		return err
 	}
 	if stats {
-		printStats(pb)
+		printStats(pb, pinballPath)
 	}
 	opts.OnDivergence = func(d drdebug.Divergence) {
 		fmt.Fprintf(os.Stderr, "drreplay: divergence: %s\n", d)
@@ -174,9 +174,8 @@ func writeReport(path string, rep *drdebug.SupervisorReport) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// printStats summarises what the pinball contains.
-func printStats(pb *drdebug.Pinball) {
-	sz, _ := pb.EncodedSize()
+// printStats summarises what the pinball loaded from path contains.
+func printStats(pb *drdebug.Pinball, path string) {
 	fmt.Printf("pinball stats:\n")
 	fmt.Printf("  program:        %s (%s)\n", pb.ProgramName, pb.Kind)
 	fmt.Printf("  region:         %d instructions (%d main thread, skip %d), end=%s\n",
@@ -201,7 +200,9 @@ func printStats(pb *drdebug.Pinball) {
 	if pb.Failure != nil {
 		fmt.Printf("  failure:        %v\n", pb.Failure)
 	}
-	fmt.Printf("  compressed:     %d bytes\n", sz)
+	if st, err := os.Stat(path); err == nil {
+		fmt.Printf("  file:           %d bytes\n", st.Size())
+	}
 }
 
 func avgQuantum(pb *drdebug.Pinball) float64 {

@@ -30,8 +30,8 @@ type SweepSeries struct {
 
 // Figure11 reproduces the logging-time sweep: for each PARSEC-like
 // workload, log regions of each configured length (4 threads) and report
-// the wall-clock logging time (with compressed pinball size, the paper's
-// "with bzip2 pinball compression").
+// the wall-clock logging time (with the encoded pinball size, where the
+// paper reports it "with bzip2 pinball compression").
 func Figure11(cfg Config) ([]SweepSeries, error) {
 	cfg.printf("Figure 11: logging times (wall clock) vs region length, %d threads\n", cfg.Threads)
 	return sweep(cfg, "log", func(w *workloads.Workload, length int64) (SweepPoint, error) {

@@ -26,7 +26,7 @@ import (
 )
 
 // FileCorruptor deterministically corrupts the encoded bytes of a
-// pinball file (the version 3 framing Save writes).
+// pinball file (the version 4 framing Save writes).
 type FileCorruptor struct {
 	Name string
 	// Want is the typed pinball error Decode must return for the

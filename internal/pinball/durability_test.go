@@ -230,7 +230,7 @@ func TestSalvageJournalWithoutCheckpointsFails(t *testing.T) {
 }
 
 // tornAtSection returns data cut right before the first frame with the
-// given id: v2id in a version 2 file, v3id in a version 3 one.
+// given id: v2id in a version 2 file, v3id in a journal.
 func tornAtSection(t *testing.T, data []byte, v2id, v3id byte) []byte {
 	t.Helper()
 	id := v3id

@@ -15,7 +15,8 @@ var (
 	ErrTruncated = errors.New("truncated pinball")
 	// ErrCorrupt marks files whose framing is intact but whose content is
 	// damaged or inconsistent: a section checksum mismatch, undecodable
-	// gob, or a payload that fails structural validation.
+	// gob, a malformed record payload, or a payload that fails structural
+	// validation.
 	ErrCorrupt = errors.New("corrupt pinball")
 	// ErrUnsalvageable marks damaged files Salvage cannot repair: the
 	// surviving prefix is missing data replay cannot do without (initial

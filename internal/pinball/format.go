@@ -38,43 +38,57 @@ func packPayload(v any) ([]byte, error) {
 
 // On-disk framing. Every pinball starts with the magic, a format version
 // byte and a kind byte, followed by section frames: id (1B), payload
-// length (8B big-endian), CRC32-IEEE of the compressed payload (4B),
-// payload (gzip-compressed gob). Truncation and bit flips are detected
-// before anything is decoded.
+// length (8B big-endian), CRC32-IEEE of the payload (4B), payload.
+// Truncation and bit flips are detected before anything is decoded.
 //
-//	version 3 ("journal"): the only version written. Frames follow the
+//	version 4 ("journal"): the only version written. Frames follow the
 //	kind byte and end with a commit frame carrying the authoritative
 //	meta and the manifest of every frame before it. The recording
 //	journal appends frames as a recording runs (journal.go); Save
 //	writes the same format in one shot. A journal without its commit
 //	frame is an interrupted recording: Load rejects it as truncated,
-//	Salvage recovers what it can.
+//	Salvage recovers what it can. The stream chunks (ids 8-11) carry
+//	delta-varint records (records.go); every other payload is
+//	gzip-compressed gob.
+//	version 3: read-only. The version 4 layout with every payload,
+//	stream chunks included, gzip-compressed gob.
 //	version 2 ("framed"): read-only. A section-count byte follows the
 //	kind byte; sections 3, 4, 5 and 7 carry whole streams, and the meta
-//	section's manifest lists every section.
+//	section's manifest lists every section. Every payload is
+//	gzip-compressed gob.
 //
 // Version 1, the pre-framing gzip+gob format, is no longer read: Load
 // rejects it with ErrVersionSkew.
+//
+// The stream chunks are not deflated: deflate at its fastest level costs
+// several times what the whole record codec does (DESIGN.md §7.1).
 const (
 	fileMagic      = "DRPB"
 	versionFramed  = byte(2) // read-only section-framed format
-	versionJournal = byte(3) // the written format
+	versionJournal = byte(4) // the written format
 )
+
+// readableVersion reports whether this build reads format version v:
+// 2, 3 (the journal with gob stream chunks) or 4.
+func readableVersion(v byte) bool {
+	return v >= versionFramed && v <= versionJournal
+}
 
 // Section ids. Unknown ids are checksum-verified and skipped, leaving
 // room for additive extensions.
 const (
 	secMeta  = byte(1)
 	secState = byte(2)
-	// Whole-stream sections of version 2 files; version 3 carries the
-	// same streams as chunk frames (ids 8-11).
+	// Whole-stream sections of version 2 files; journals carry the same
+	// streams as chunk frames (ids 8-11).
 	secSchedule    = byte(3)
 	secSyscalls    = byte(4)
 	secOrder       = byte(5)
 	secSlice       = byte(6) // sliceV1, slice pinballs only
 	secCheckpoints = byte(7)
 	// Stream chunks: each carries a delta that is appended to the
-	// stream. Save writes each stream as a single chunk.
+	// stream. Save writes each stream as a single chunk. Version 4
+	// payloads are records (records.go), version 3 ones gob.
 	secQuantaChunk     = byte(8)  // []vm.Quantum
 	secSyscallChunk    = byte(9)  // []vm.SyscallRecord
 	secOrderChunk      = byte(10) // []vm.OrderEdge
@@ -155,20 +169,21 @@ func kindByte(k Kind) byte {
 type frameWriter struct {
 	w   io.Writer
 	ids []byte
+	buf []byte // record payload scratch, reused across frames
 	err error
 }
 
-// header writes the version 3 file header.
+// header writes the version 4 file header.
 func (fw *frameWriter) header(k Kind) {
 	_, fw.err = fw.w.Write(append([]byte(fileMagic), versionJournal, kindByte(k)))
 }
 
-// append seals one section frame: gob+gzip payload, length, CRC.
+// append seals one section frame: payload, length, CRC.
 func (fw *frameWriter) append(id byte, v any) {
 	if fw.err != nil {
 		return
 	}
-	payload, err := packPayload(v)
+	payload, err := fw.pack(v)
 	if err != nil {
 		fw.err = fmt.Errorf("encode section %d: %w", id, err)
 		return
@@ -185,6 +200,26 @@ func (fw *frameWriter) append(id byte, v any) {
 	}
 }
 
+// pack returns the frame payload for v: the bulk streams as records,
+// everything else gob+gzip.
+func (fw *frameWriter) pack(v any) ([]byte, error) {
+	b := fw.buf[:0]
+	switch v := v.(type) {
+	case []vm.Quantum:
+		b = appendQuanta(b, v)
+	case []vm.SyscallRecord:
+		b = appendSyscalls(b, v)
+	case []vm.OrderEdge:
+		b = appendEdges(b, v)
+	case []Checkpoint:
+		b = appendCheckpoints(b, v)
+	default:
+		return packPayload(v)
+	}
+	fw.buf = b
+	return b, nil
+}
+
 // ringFrame returns the ring frame payload and whether p has
 // flight-recorder fields to carry.
 func (p *Pinball) ringFrame() (ringV1, bool) {
@@ -192,8 +227,9 @@ func (p *Pinball) ringFrame() (ringV1, bool) {
 		p.RingBytes != 0 || p.SampleKeep != 0 || len(p.Evictions) > 0 || p.Recipe != nil
 }
 
-// Save writes the pinball to path as a committed journal (the paper uses
-// bzip2 pinball compression; gzip is the stdlib equivalent). The write is
+// Save writes the pinball to path as a committed journal (the paper
+// bzip2-compresses pinballs; here the bulk streams are delta-varint
+// records and the small frames gzip). The write is
 // crash-safe: the file is staged in a temporary sibling, fsynced and
 // atomically renamed into place, so a crash or disk-full mid-save leaves
 // either the previous complete file or no file — never a torn pinball,
@@ -270,8 +306,8 @@ func Load(path string) (*Pinball, error) {
 	return p, nil
 }
 
-// Decode parses pinball file bytes (version 2 or 3), verifying checksums,
-// the manifest and structural invariants.
+// Decode parses pinball file bytes (versions 2 to 4), verifying
+// checksums, the manifest and structural invariants.
 func Decode(data []byte) (*Pinball, error) {
 	if len(data) < len(fileMagic)+1 {
 		return nil, fmt.Errorf("%w: %d-byte file", ErrNotPinball, len(data))
@@ -279,8 +315,8 @@ func Decode(data []byte) (*Pinball, error) {
 	if string(data[:len(fileMagic)]) != fileMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrNotPinball)
 	}
-	if v := data[len(fileMagic)]; v != versionFramed && v != versionJournal {
-		return nil, fmt.Errorf("%w: file has version %d, this build reads versions %d and %d",
+	if v := data[len(fileMagic)]; !readableVersion(v) {
+		return nil, fmt.Errorf("%w: file has version %d, this build reads versions %d to %d",
 			ErrVersionSkew, v, versionFramed, versionJournal)
 	}
 	parts, err := readFrames(data, -1)
@@ -350,10 +386,15 @@ func (f frame) decode(dst any) error {
 			ErrCorrupt, f.id, f.index, f.off, err)
 	}
 	defer zr.Close()
-	if err := gobDecode(zr, dst); err != nil {
-		return fmt.Errorf("section id %d (#%d) at byte offset %d: %w", f.id, f.index, f.off, err)
+	return f.wrap(gobDecode(zr, dst))
+}
+
+// wrap pins a payload decode error to the frame's location.
+func (f frame) wrap(err error) error {
+	if err == nil {
+		return nil
 	}
-	return nil
+	return fmt.Errorf("section id %d (#%d) at byte offset %d: %w", f.id, f.index, f.off, err)
 }
 
 // gobDecode decodes into v, converting both gob errors and gob panics
@@ -374,17 +415,16 @@ func gobDecode(r io.Reader, v any) (err error) {
 	return nil
 }
 
-// frameStart returns where the first frame of a version 2 or 3 file
+// frameStart returns where the first frame of a version 2 to 4 file
 // starts, and the section count a version 2 header declares (-1 for a
 // journal, whose frames run to its commit frame).
 func frameStart(data []byte) (off int64, count int, err error) {
 	off = int64(len(fileMagic) + 2)
 	v := data[len(fileMagic)]
-	switch v {
-	case versionJournal:
-	case versionFramed:
+	switch {
+	case v == versionFramed:
 		off++
-	default:
+	case !readableVersion(v):
 		return 0, 0, fmt.Errorf("%w: version %d has no section framing", ErrVersionSkew, v)
 	}
 	if int64(len(data)) < off {
@@ -405,7 +445,7 @@ type SectionInfo struct {
 	Len int64
 }
 
-// SectionOffsets walks the framing of version 2 or 3 pinball file bytes
+// SectionOffsets walks the framing of version 2 to 4 pinball file bytes
 // without decoding payloads. It fails with the same typed errors as
 // Decode.
 func SectionOffsets(data []byte) ([]SectionInfo, error) {

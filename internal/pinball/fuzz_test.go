@@ -11,7 +11,7 @@ import (
 )
 
 // fuzzSeeds returns the decoder fuzz corpus: the Save encoding of every
-// pinball kind, the version 2 fixtures, and every file corruptor's
+// pinball kind, the version 2 and 3 fixtures, and every file corruptor's
 // output on each encoding.
 func fuzzSeeds(f *testing.F) [][]byte {
 	whole := samplePinball()
@@ -31,6 +31,9 @@ func fuzzSeeds(f *testing.F) [][]byte {
 	}
 	for _, fx := range v2Fixtures {
 		seeds = append(seeds, readFixture(f, fx.file))
+	}
+	for _, fx := range v2Fixtures {
+		seeds = append(seeds, readFixture(f, v3Fixture(fx.file)))
 	}
 	return seeds
 }
@@ -122,7 +125,7 @@ func TestDecodeEdgeInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	state, commit := secs[1], secs[len(secs)-1]
-	header := []byte("DRPB\x03R")
+	header := []byte("DRPB\x04R")
 	for _, tc := range []struct {
 		summary string
 		input   []byte
@@ -130,7 +133,7 @@ func TestDecodeEdgeInputs(t *testing.T) {
 	}{
 		{"empty input", nil, pinball.ErrNotPinball},
 		{"magic without a version byte", []byte("DRPB"), pinball.ErrNotPinball},
-		{"version byte without a kind byte", []byte("DRPB\x03"), pinball.ErrTruncated},
+		{"version byte without a kind byte", []byte("DRPB\x04"), pinball.ErrTruncated},
 		{"retired version 1 header", []byte("DRPB\x01\x1f\x8b"), pinball.ErrVersionSkew},
 		{"journal header without frames", header, pinball.ErrTruncated},
 		{"version 2 file declaring no sections", []byte("DRPB\x02R\x00"), pinball.ErrCorrupt},

@@ -7,7 +7,8 @@ import (
 	"repro/internal/vm"
 )
 
-// Incremental journal (format version 3). A pinball written with Save
+// Incremental journal (format version 4; version 3 is the same layout
+// with gob stream chunks). A pinball written with Save
 // only exists once recording has finished; a crash mid-record loses the
 // whole capture. The journal inverts that: the file starts with the
 // sections known at region entry (provisional meta, initial machine
@@ -167,10 +168,12 @@ func (w *JournalWriter) Abort() error {
 	return w.err
 }
 
-// journalParts accumulates the valid frame prefix of a version 2 or 3
-// file. Both versions are read by the same walker: a version 2 file is a
+// journalParts accumulates the valid frame prefix of a version 2 to 4
+// file. Every version is read by the same walker: a version 2 file is a
 // journal whose whole-stream sections are one chunk each, and which is
 // complete — committed — once its declared section count has been read.
+// The version byte selects the stream codec: records in version 4, gob
+// before it.
 type journalParts struct {
 	version   byte
 	kindB     byte
@@ -243,8 +246,8 @@ func (j *journalParts) applyFrame(f frame) error {
 	case secState:
 		return f.decode(&j.p.State)
 	case secSchedule, secQuantaChunk:
-		var q []vm.Quantum
-		if err := f.decode(&q); err != nil {
+		q, err := stream(j, f, decodeQuanta)
+		if err != nil {
 			return err
 		}
 		// A flush boundary can split a still-open quantum across chunks;
@@ -254,25 +257,25 @@ func (j *journalParts) applyFrame(f frame) error {
 			j.p.Quanta[n-1].Count += q[0].Count
 			q = q[1:]
 		}
-		j.p.Quanta = append(j.p.Quanta, q...)
+		j.p.Quanta = join(j.p.Quanta, q)
 	case secSyscalls, secSyscallChunk:
-		var s []vm.SyscallRecord
-		if err := f.decode(&s); err != nil {
+		s, err := stream(j, f, decodeSyscalls)
+		if err != nil {
 			return err
 		}
-		j.p.Syscalls = append(j.p.Syscalls, s...)
+		j.p.Syscalls = join(j.p.Syscalls, s)
 	case secOrder, secOrderChunk:
-		var e []vm.OrderEdge
-		if err := f.decode(&e); err != nil {
+		e, err := stream(j, f, decodeEdges)
+		if err != nil {
 			return err
 		}
-		j.p.OrderEdges = append(j.p.OrderEdges, e...)
+		j.p.OrderEdges = join(j.p.OrderEdges, e)
 	case secCheckpoints, secCheckpointChunk:
-		var c []Checkpoint
-		if err := f.decode(&c); err != nil {
+		c, err := stream(j, f, decodeCheckpoints)
+		if err != nil {
 			return err
 		}
-		j.p.Checkpoints = append(j.p.Checkpoints, c...)
+		j.p.Checkpoints = join(j.p.Checkpoints, c)
 	case secSlice:
 		var sl sliceV1
 		if err := f.decode(&sl); err != nil {
@@ -306,10 +309,29 @@ func (j *journalParts) applyFrame(f frame) error {
 	return nil // checksum-verified unknown section: skip
 }
 
+// stream decodes a stream frame's payload with the file version's codec.
+func stream[T any](j *journalParts, f frame, records func([]byte) ([]T, error)) ([]T, error) {
+	if j.version == versionJournal {
+		s, err := records(f.payload)
+		return s, f.wrap(err)
+	}
+	var s []T
+	return s, f.decode(&s)
+}
+
+// join appends a decoded chunk to its stream, adopting the chunk itself
+// when it is the first.
+func join[T any](dst, src []T) []T {
+	if len(dst) == 0 {
+		return src
+	}
+	return append(dst, src...)
+}
+
 // framesBeforeCommit returns the ids the manifest must list: every frame
-// read except a version 3 commit frame.
+// read except a journal's commit frame.
 func (j *journalParts) framesBeforeCommit() []byte {
-	if j.committed && j.version == versionJournal {
+	if j.committed && j.version != versionFramed {
 		return j.ids[:len(j.ids)-1]
 	}
 	return j.ids

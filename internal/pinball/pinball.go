@@ -198,6 +198,14 @@ func (p *Pinball) Validate() error {
 			return bad("syscall %d has thread id %d", i, s.Tid)
 		}
 	}
+	for i, e := range p.OrderEdges {
+		if e.FromTid < 0 || e.FromTid >= vm.MaxThreads || e.ToTid < 0 || e.ToTid >= vm.MaxThreads {
+			return bad("order edge %d has thread ids %d -> %d", i, e.FromTid, e.ToTid)
+		}
+		if e.FromIdx < 0 || e.ToIdx < 0 {
+			return bad("order edge %d has negative instruction index %d -> %d", i, e.FromIdx, e.ToIdx)
+		}
+	}
 	for i, e := range p.Exclusions {
 		if e.Tid < 0 || e.Tid >= vm.MaxThreads {
 			return bad("exclusion %d has thread id %d", i, e.Tid)
@@ -222,7 +230,7 @@ func (p *Pinball) Validate() error {
 	if len(p.Checkpoints) > 0 && p.CheckpointEvery == 0 {
 		return bad("checkpoints present without a cadence")
 	}
-	lastSeq := map[int]int64{}
+	var lastSeq [vm.MaxThreads]int64
 	for i, cp := range p.Checkpoints {
 		if cp.Tid < 0 || cp.Tid >= vm.MaxThreads {
 			return bad("checkpoint %d has thread id %d", i, cp.Tid)

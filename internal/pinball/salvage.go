@@ -138,7 +138,7 @@ func SalvageBytes(data []byte) (*Pinball, *SalvageReport, error) {
 		return nil, rep, fmt.Errorf("%w: not a pinball file", ErrUnsalvageable)
 	}
 	rep.Version = data[len(fileMagic)]
-	if rep.Version != versionFramed && rep.Version != versionJournal {
+	if !readableVersion(rep.Version) {
 		rep.DamageCause = fmt.Sprintf("unreadable format version %d", rep.Version)
 		return nil, rep, fmt.Errorf("%w: unreadable format version %d", ErrUnsalvageable, rep.Version)
 	}
@@ -165,7 +165,7 @@ var optionalFrames = map[byte]bool{
 	secRing: true, secCommit: true,
 }
 
-// salvageFrames recovers a version 2 or 3 file from its frame prefix.
+// salvageFrames recovers a version 2 to 4 file from its frame prefix.
 func salvageFrames(data []byte, rep *SalvageReport) (*Pinball, *SalvageReport, error) {
 	parts, scanErr := readFrames(data, -1)
 	if scanErr != nil {

@@ -40,7 +40,7 @@ type LogConfig struct {
 	// negative = disable checkpointing).
 	CheckpointEvery int64
 	// JournalPath, when set, makes the logger write the capture
-	// incrementally to that path as a format-v3 journal while recording
+	// incrementally to that path as a format-v4 journal while recording
 	// runs: a crash mid-record leaves a salvageable prefix on disk
 	// instead of nothing. The committed journal IS the output pinball
 	// file — no separate Save is needed.
@@ -323,7 +323,7 @@ func (r *Recorder) Finish(m *vm.Machine, endReason string) *pinball.Pinball {
 }
 
 // AttachJournal starts writing the recording incrementally to path as a
-// format-v3 journal. kind must match the kind the finished pinball will
+// format-v4 journal. kind must match the kind the finished pinball will
 // carry (the journal header pins it). flushEvery is the flush cadence in
 // executed region instructions (0 = DefaultJournalFlushEvery); sync
 // fsyncs every flushed window. Call between StartRecording and Finish;

@@ -143,7 +143,7 @@ func (r *Recorder) sealRingWindow(final bool) {
 // retained event streams onto the finished pinball. Retained quanta are
 // re-merged across window boundaries (a seal can split a still-open
 // quantum), matching both the machine's maximal run-length form and the
-// v3 decoder's chunk merge.
+// journal decoder's chunk merge.
 func (r *Recorder) finishRing(pb *pinball.Pinball) {
 	rs := r.ring
 	r.sealRingWindow(true)

@@ -126,6 +126,12 @@ func flipByte(t *testing.T, path string) {
 	}
 }
 
+// nextSecond sleeps until the wall clock enters its next whole second,
+// the resolution of the store's touch times.
+func nextSecond() {
+	time.Sleep(time.Until(time.Now().Truncate(time.Second).Add(time.Second)))
+}
+
 func wantCode(t *testing.T, label string, resp Response, ok bool, code string) {
 	t.Helper()
 	if resp.OK != ok || resp.Code != code {
@@ -141,14 +147,18 @@ func TestResolverLadder(t *testing.T) {
 		f.put(t)
 		wantCode(t, "first", f.replay("c"), true, "")
 		// A warm session leases the entry and opens the cached pinball:
-		// no store read (which would append a touch), no decode.
+		// no store read, no decode. In a later second than the entry's
+		// last touch, its lease appends exactly one touch record; a
+		// store read would append a second one.
 		manifest := filepath.Join(f.st.Root(), "manifest.db")
 		before, _ := os.ReadFile(manifest)
 		cached, _ := f.srv.resolver.cache.Get(f.digest)
+		nextSecond()
 		wantCode(t, "warm", f.replay("c"), true, "")
 		after, _ := os.ReadFile(manifest)
-		if !bytes.Equal(before, after) {
-			t.Errorf("a warm session wrote the manifest:\n%s", after[len(before):])
+		if added := after[len(before):]; bytes.Count(added, []byte("\n")) != 1 ||
+			!bytes.Contains(added, []byte(`"op":"touch","digest":"`+f.digest+`"`)) {
+			t.Errorf("a warm session appended to the manifest:\n%s\nwant one touch of %s", added, f.digest)
 		}
 		if v, _ := f.srv.resolver.cache.Get(f.digest); v.pb == nil || v.pb != cached.pb {
 			t.Error("a warm session replaced the cached pinball")
@@ -222,6 +232,35 @@ func TestResolverLadder(t *testing.T) {
 		if _, err := f.st.Stat(f.digest); err != nil {
 			t.Errorf("collected entry not re-stored: %v", err)
 		}
+	})
+
+	t.Run("served-digest-survives-gc", func(t *testing.T) {
+		// GC's KeepLast ranks entries by last touch, in whole seconds.
+		// The served digest is put and resolved, another entry is put a
+		// second later, and a second after that five warm sessions open
+		// the served digest from the resolver cache: their leases alone
+		// must mark it as used.
+		f := newResolverFixture(t, false, Config{})
+		f.put(t)
+		wantCode(t, "first", f.replay("c"), true, "")
+		nextSecond()
+		torn, err := os.ReadFile(f.torn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idle, err := f.st.Put(torn, store.PutMeta{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nextSecond()
+		for i := 0; i < 5; i++ {
+			wantCode(t, fmt.Sprintf("warm %d", i), f.replay("c"), true, "")
+		}
+		rep, err := f.st.GC(store.GCPolicy{KeepLast: 1})
+		if err != nil || len(rep.Evicted) != 1 || rep.Evicted[0] != idle.Digest {
+			t.Fatalf("gc: %+v, %v; want only the idle entry %s evicted", rep, err, idle.Digest)
+		}
+		wantCode(t, "after gc", f.replay("c"), true, "")
 	})
 
 	t.Run("concurrent-first-requests-share-one-load", func(t *testing.T) {

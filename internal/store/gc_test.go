@@ -334,3 +334,51 @@ func TestGCUnderLoadSoak(t *testing.T) {
 		t.Errorf("post-soak verify: %v (%+v)", err, rep)
 	}
 }
+
+// TestGCKeepsServedDigest is the sequence a daemon serving one digest
+// from its decoded-pinball cache runs: put A, read A once, put B a
+// second later, then five sessions on A that only take a lease. GC with
+// KeepLast 1 must keep A, the digest in use, and evict B. Five leases in
+// the same second append one touch record, not five.
+func TestGCKeepsServedDigest(t *testing.T) {
+	s := openT(t)
+	a := putFake(t, s, "served", 100)
+	clock := time.Unix(100, 0)
+	s.now = func() time.Time { return clock }
+	if _, err := s.Get(a); err != nil {
+		t.Fatal(err)
+	}
+	b := putFake(t, s, "idle", 101)
+	clock = time.Unix(102, 0)
+	before := manifestTouches(t, s)
+	for i := 0; i < 5; i++ {
+		release, err := s.Acquire(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
+	}
+	if n := manifestTouches(t, s) - before; n != 1 {
+		t.Errorf("5 leases in one second appended %d touch records, want 1", n)
+	}
+	rep, err := s.GC(GCPolicy{KeepLast: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Evicted) != 1 || rep.Evicted[0] != b {
+		t.Fatalf("evicted %v, want [%s] (the idle entry)", rep.Evicted, b)
+	}
+	if _, err := s.Stat(a); err != nil {
+		t.Fatalf("served entry collected: %v", err)
+	}
+}
+
+// manifestTouches counts the touch records in s's manifest file.
+func manifestTouches(t *testing.T, s *Store) int {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(s.Root(), "manifest.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Count(raw, []byte(`"op":"touch"`))
+}

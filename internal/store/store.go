@@ -28,7 +28,7 @@ import (
 // Pinballs are keyed by the FNV-1a 64 digest of their full file bytes —
 // the same content hash the engine cache and circuit breaker key by —
 // rendered as 16 hex digits. Files are split at pinball section-frame
-// boundaries (journal v3 chunk frames are the natural unit) so chunks
+// boundaries (journal chunk frames are the natural unit) so chunks
 // shared across recordings are stored once.
 //
 // Every read re-hashes every chunk before returning bytes
@@ -507,7 +507,11 @@ func (s *Store) setPin(digest, op string) error {
 // Acquire takes a lease on digest for the duration of an open session:
 // GC will not collect a leased entry, in this process (lease map) or
 // any other (lease file carrying our pid, ignored once the pid is
-// dead). Release with the returned func.
+// dead). Release with the returned func. A served digest counts as
+// used, so Acquire also records a touch when the entry's last one is
+// older than the current second: a daemon that serves a digest from
+// its decoded-pinball cache never calls Get, and GC's LRU rank must
+// still see the entry as recently used.
 func (s *Store) Acquire(digest string) (release func(), err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -521,8 +525,14 @@ func (s *Store) Acquire(digest string) (release func(), err error) {
 	if err := s.reload(); err != nil {
 		return nil, err
 	}
-	if _, ok := s.man.entries[digest]; !ok {
+	e, ok := s.man.entries[digest]
+	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, digest)
+	}
+	if now := s.now().Unix(); e.TouchUnix < now {
+		if err := s.appendRecords(&record{Op: "touch", Digest: digest, Unix: now}); err != nil {
+			return nil, err
+		}
 	}
 	s.leaseSeq++
 	name := fmt.Sprintf("%s.%d.%d", digest, os.Getpid(), s.leaseSeq)
