@@ -38,15 +38,16 @@ bench:
 
 # One iteration of each parallel slicing-engine benchmark (build, and
 # steady-state query with and without its dependence edges, on a
-# blackscholes region), of each record and
-# validated-replay benchmark (the mgrid kernel region and the
-# checkpoint-cadence toys) and of the pinball encode and decode
-# benchmarks (250k-main captures of canneal, mgrid and swaptions), so a
-# change that breaks them fails here; the numbers themselves do not
-# gate. -benchmem puts B/op and allocs/op in the log next to ns/op.
+# blackscholes region), of each record, replay and trace-collection
+# benchmark (the four mgrid kernel-region ones: record, validated and
+# unverified replay, CollectTrace; and the checkpoint-cadence toys) and
+# of the pinball encode and decode benchmarks (250k-main captures of
+# canneal, mgrid and swaptions), so a change that breaks them fails
+# here; the numbers themselves do not gate. -benchmem puts B/op and
+# allocs/op in the log next to ns/op.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Parallel' -benchtime 1x -benchmem ./internal/slice/
-	$(GO) test -run '^$$' -bench 'Replay|Log' -benchtime 1x -benchmem ./internal/pinplay/
+	$(GO) test -run '^$$' -bench 'Replay|Log|Collect' -benchtime 1x -benchmem ./internal/pinplay/
 	$(GO) test -run '^$$' -bench '^Benchmark(Encode|Decode)$$' -benchtime 1x -benchmem ./internal/pinball/
 
 # Crash-injection suite under the race detector: torn files at every

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/pinball"
+	"repro/internal/vm"
 	"repro/internal/workloads"
 )
 
@@ -126,14 +127,37 @@ func BenchmarkLogKernelRegion(b *testing.B) {
 	reportPerInstr(b, pb.RegionInstrs)
 }
 
-// BenchmarkReplayKernelRegion measures validated replay of the kernel
-// region.
-func BenchmarkReplayKernelRegion(b *testing.B) {
+// benchmarkReplayKernel measures replaying the kernel region with opts.
+func benchmarkReplayKernel(b *testing.B, opts ReplayOptions) {
 	prog, _, _, pb := kernelRegion(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ReplayWith(prog, pb, ReplayOptions{}); err != nil {
+		if _, _, err := ReplayWith(prog, pb, opts); err != nil {
 			b.Fatalf("replay: %v", err)
+		}
+	}
+	reportPerInstr(b, pb.RegionInstrs)
+}
+
+// BenchmarkReplayKernelRegion measures validated replay of the kernel
+// region.
+func BenchmarkReplayKernelRegion(b *testing.B) { benchmarkReplayKernel(b, ReplayOptions{}) }
+
+// BenchmarkReplayKernelRegionUnverified measures replay of the kernel
+// region without checkpoint validation: the bare run loop.
+func BenchmarkReplayKernelRegionUnverified(b *testing.B) {
+	benchmarkReplayKernel(b, ReplayOptions{NoVerify: true})
+}
+
+// BenchmarkCollectKernelRegion measures trace collection over the kernel
+// region: a validated replay feeding the region collector, plus the
+// global-trace merge.
+func BenchmarkCollectKernelRegion(b *testing.B) {
+	prog, _, _, pb := kernelRegion(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := CollectTrace(prog, pb, vm.Limits{}); err != nil {
+			b.Fatalf("collect: %v", err)
 		}
 	}
 	reportPerInstr(b, pb.RegionInstrs)

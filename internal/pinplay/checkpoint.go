@@ -176,8 +176,9 @@ func (e *DivergenceError) Error() string {
 func (e *DivergenceError) Is(target error) bool { return target == ErrReplay }
 
 // checkpointValidator replays the rolling-hash fold and compares against
-// the pinball's recorded checkpoints. It is attached as a tracer; the
-// replay loops poll failed() after every step.
+// the pinball's recorded checkpoints. It is attached as a tracer, and
+// pauses the machine when it records a fatal divergence so the replay
+// stops right after the instruction that closed the bad window.
 type checkpointValidator struct {
 	vm.NopTracer
 	m       *vm.Machine
@@ -290,6 +291,7 @@ func (v *checkpointValidator) record(d Divergence) {
 	}
 	if !v.warnOnly && v.fatal == nil {
 		v.fatal = &v.divs[len(v.divs)-1]
+		v.m.Pause()
 	}
 }
 

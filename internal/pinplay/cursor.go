@@ -148,9 +148,10 @@ func (c *Cursor) Run() error {
 }
 
 // advance executes instructions until the position reaches target, the
-// machine stops, or the validator flags a fatal divergence. Slice
-// injections are applied just before the instruction at their AtStep;
-// between them the loop runs tight.
+// machine stops, or the validator flags a fatal divergence (it pauses
+// the machine right after the instruction that closed the diverging
+// window). Slice injections are applied just before the instruction at
+// their AtStep; between them the machine's run loop runs uninterrupted.
 func (c *Cursor) advance(target int64) {
 	stop := c.base + target
 	inj := c.pb.Injections
@@ -160,11 +161,7 @@ func (c *Cursor) advance(target int64) {
 		if c.inj < len(inj) {
 			next = min(next, c.base+inj[c.inj].AtStep)
 		}
-		for c.m.Steps() < next && c.m.StepOne() {
-			if c.v.failed() != nil {
-				return
-			}
-		}
+		c.m.RunTo(next)
 	}
 }
 

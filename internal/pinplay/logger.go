@@ -163,8 +163,7 @@ func Log(prog *isa.Program, cfg LogConfig, spec RegionSpec) (*pinball.Pinball, e
 
 	// Fast-forward: the logger "does only minimal instrumentation before
 	// the region, so fast-forwarding proceeds at Pin-only speed".
-	for m.Threads[0].Count < spec.SkipMain && m.StepOne() {
-	}
+	runMain(m, spec.SkipMain)
 	if !m.Running() && m.Threads[0].Count < spec.SkipMain {
 		return nil, fmt.Errorf("pinplay: program stopped (%v) before skip %d", m.Stopped(), spec.SkipMain)
 	}
@@ -191,9 +190,7 @@ func Log(prog *isa.Program, cfg LogConfig, spec RegionSpec) (*pinball.Pinball, e
 	}
 	var endReason string
 	if spec.LengthMain > 0 {
-		target := m.Threads[0].Count + spec.LengthMain
-		for m.Threads[0].Count < target && m.StepOne() {
-		}
+		runMain(m, m.Threads[0].Count+spec.LengthMain)
 		endReason = "length"
 		if !m.Running() {
 			endReason = m.Stopped().String()
@@ -209,6 +206,16 @@ func Log(prog *isa.Program, cfg LogConfig, spec RegionSpec) (*pinball.Pinball, e
 		return nil, err
 	}
 	return pb, nil
+}
+
+// runMain runs m until the main thread has executed target instructions
+// or the machine stops. Each batch asks for exactly the main-thread
+// instructions still missing: main reaches target only if every step of
+// the batch was main's, so the run never overshoots.
+func runMain(m *vm.Machine, target int64) {
+	for m.Running() && m.Threads[0].Count < target {
+		m.RunTo(m.Steps() + target - m.Threads[0].Count)
+	}
 }
 
 // LogUntilFailure is a convenience wrapper capturing from SkipMain to the

@@ -2,15 +2,18 @@ package vm
 
 import (
 	"context"
+	"math"
 	"time"
 )
 
 // Limits bounds an execution so that a malformed or tampered pinball can
 // never wedge a tool: an instruction budget, a wall-clock deadline, a
 // resident-memory cap and an optional cancellation context. The zero
-// value imposes no bounds. Limits are checked from the stepping loop; the
-// budget every instruction, the clock/context/memory ones every
-// slowCheckStride instructions to keep the hot path cheap.
+// value imposes no bounds. The run loop checks them between batches and
+// ends every batch on the instruction at which a check is due (see
+// limitBound): the budget after its last instruction, the
+// clock/context/memory ones every slowCheckStride instructions, so the
+// hot path carries no per-instruction check.
 type Limits struct {
 	// Steps is the instruction budget, counted from the moment the
 	// limits are applied (0 = unlimited).
@@ -60,9 +63,36 @@ func (m *Machine) SetLimits(l Limits) {
 // Limits returns the currently applied execution bounds.
 func (m *Machine) Limits() Limits { return m.limits }
 
-// checkLimits enforces the applied bounds; called once per executed
-// instruction while any bound is set.
+// limitBound returns how many instructions the next batch may run
+// before a bound is due: MaxSteps, the budget or the next slow check.
+// Batches end on exactly the instruction after which a per-instruction
+// check would fire, so a budget of N runs exactly N instructions and a
+// deadline is first checked after the first instruction.
+func (m *Machine) limitBound() int64 {
+	n := int64(math.MaxInt64)
+	if m.maxSteps > 0 {
+		n = m.maxSteps - m.steps
+	}
+	if m.limitsOn {
+		if m.budgetEnd > 0 {
+			n = min(n, m.budgetEnd-m.steps)
+		}
+		n = min(n, m.nextSlowCheck-m.steps)
+	}
+	return max(n, 1)
+}
+
+// checkLimits enforces MaxSteps and the applied bounds; RunTo calls it
+// after every batch that executed an instruction and left the machine
+// running.
 func (m *Machine) checkLimits() {
+	if m.maxSteps > 0 && m.steps >= m.maxSteps {
+		m.stopped = StopMaxSteps
+		return
+	}
+	if !m.limitsOn {
+		return
+	}
 	if m.budgetEnd > 0 && m.steps >= m.budgetEnd {
 		m.stopped = StopBudget
 		return

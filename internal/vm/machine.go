@@ -9,6 +9,7 @@ package vm
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/isa"
 )
@@ -163,7 +164,8 @@ type Config struct {
 	MaxSteps int64 // 0 means no limit
 }
 
-// Machine executes a program. Create with New, drive with StepOne or Run.
+// Machine executes a program. Create with New, drive with RunTo (or its
+// wrappers StepOne and Run).
 type Machine struct {
 	Prog    *isa.Program
 	Mem     *Memory
@@ -193,8 +195,12 @@ type Machine struct {
 	runnableBuf []int
 
 	// Executed schedule, run-length encoded. ResetQuanta starts a fresh
-	// recording (used by the logger at region entry).
-	quanta []Quantum
+	// recording (used by the logger at region entry). The running batch's
+	// instructions, steps [runFrom, steps) of thread runTid, are folded in
+	// by syncQuanta.
+	quanta  []Quantum
+	runTid  int
+	runFrom int64
 
 	lockWaiters map[int64][]int
 	joinWaiters map[int][]int
@@ -207,9 +213,8 @@ type Machine struct {
 	stopped StopReason
 	failure *Failure
 
-	ev       InstrEvent
-	scratch  []isa.Reg
-	yieldReq bool
+	ev     InstrEvent
+	paused bool
 }
 
 type reader struct {
@@ -303,7 +308,10 @@ func (m *Machine) Failure() *Failure { return m.failure }
 
 // Quanta returns the schedule executed since the last ResetQuanta (or
 // machine creation), run-length encoded.
-func (m *Machine) Quanta() []Quantum { return m.quanta }
+func (m *Machine) Quanta() []Quantum {
+	m.syncQuanta()
+	return m.quanta
+}
 
 // ResetQuanta discards the recorded schedule and starts a fresh recording
 // at the current point; the logger calls this at region entry. The
@@ -312,6 +320,7 @@ func (m *Machine) Quanta() []Quantum { return m.quanta }
 // is per-instruction and independent of scheduler quanta).
 func (m *Machine) ResetQuanta() {
 	m.quanta = nil
+	m.runFrom = m.steps
 }
 
 // ResetSharedTracking clears shared-memory last-access state so that order
@@ -405,58 +414,96 @@ func (m *Machine) InFlightQuantum() (tid int, left int64) {
 	return m.curTid, m.curLeft
 }
 
-// StepOne executes exactly one instruction (of the currently scheduled
-// thread) and returns true, or returns false when the machine has stopped.
-// A blocked lock/join attempt does not execute an instruction; StepOne
-// reschedules and retries internally in that case.
-func (m *Machine) StepOne() bool {
-	for {
+// RunTo is the machine's one execution loop. It executes instructions
+// until Steps() reaches stop, the machine stops, or a tracer calls Pause,
+// and returns the stop reason (StopNone if the machine can still run).
+//
+// It makes one scheduling decision per batch and then runs the chosen
+// thread's quantum in a tight inner loop: at most the quantum left, the
+// steps left to stop, and the steps left to the next limit bound (see
+// limitBound). The inner loop needs no per-instruction scheduling check
+// because inside a batch only the running thread changes its own status,
+// and every such change either returns blocked from step (JOIN, LOCK) or
+// sets needSched (SPAWN, WAIT, exitThread; a yield sets it too), and a
+// stop sets stopped. Other threads can only become runnable (UNLOCK,
+// SIGNAL and exit wake-ups), which never ends the running quantum. A
+// tracer must not Restore the machine or replace its scheduler
+// mid-batch.
+func (m *Machine) RunTo(stop int64) StopReason {
+	m.paused = false
+	for m.steps < stop && !m.paused {
 		if !m.ensureScheduled() {
-			return false
+			break
 		}
 		t := m.Threads[m.curTid]
-		blocked := m.step(t)
-		if m.stopped != StopNone {
-			return m.stopped == StopNone
+		n := min(m.curLeft, stop-m.steps, m.limitBound())
+		m.runTid, m.runFrom = t.ID, m.steps
+		var done int64
+		blocked := false
+		for done < n {
+			if blocked = m.step(t); blocked || m.stopped != StopNone {
+				break
+			}
+			done++
+			if m.needSched || m.paused {
+				break
+			}
 		}
+		m.syncQuanta()
+		m.curLeft -= done
 		if blocked {
 			// The attempt consumed no instruction; pick another thread.
 			m.curLeft = 0
 			m.needSched = true
-			continue
 		}
-		m.curLeft--
-		if m.yieldReq {
-			m.yieldReq = false
-			m.needSched = true
-		}
-		if m.maxSteps > 0 && m.steps >= m.maxSteps {
-			m.stopped = StopMaxSteps
-		}
-		if m.limitsOn && m.stopped == StopNone {
+		if done > 0 && m.stopped == StopNone {
 			m.checkLimits()
 		}
-		return true
-	}
-}
-
-// Run executes until the machine stops and returns the stop reason.
-func (m *Machine) Run() StopReason {
-	for m.StepOne() {
 	}
 	return m.stopped
 }
 
-// recordQuantum extends the run-length encoded schedule with one
-// instruction executed by tid. It is called exactly once per executed
-// instruction, so it also maintains the global step count.
-func (m *Machine) recordQuantum(tid int) {
-	m.steps++
-	if n := len(m.quanta); n > 0 && m.quanta[n-1].Tid == tid {
-		m.quanta[n-1].Count++
+// StepOne executes exactly one instruction (of the currently scheduled
+// thread) and returns true, or returns false when the machine has stopped
+// before or by executing it (halt, failure, exit, deadlock). An
+// instruction after which a limit stops the machine still returns true.
+// A blocked lock/join attempt does not execute an instruction; the loop
+// reschedules and retries in that case.
+func (m *Machine) StepOne() bool {
+	s := m.steps
+	switch m.RunTo(s + 1) {
+	case StopHalt, StopFailure:
+		return false
+	}
+	return m.steps > s
+}
+
+// Run executes until the machine stops, or a tracer pauses it, and
+// returns the stop reason.
+func (m *Machine) Run() StopReason {
+	return m.RunTo(math.MaxInt64)
+}
+
+// Pause makes the running RunTo return after the current instruction.
+// Tracers call it from OnInstr (the replay validator does on a fatal
+// divergence); the next RunTo resumes normally.
+func (m *Machine) Pause() { m.paused = true }
+
+// syncQuanta folds the instructions the running batch has executed so
+// far into the run-length schedule. RunTo calls it once per batch, and
+// Quanta calls it so that tracers reading the schedule mid-batch see
+// every executed instruction.
+func (m *Machine) syncQuanta() {
+	n := m.steps - m.runFrom
+	if n <= 0 {
 		return
 	}
-	m.quanta = append(m.quanta, Quantum{Tid: tid, Count: 1})
+	m.runFrom = m.steps
+	if k := len(m.quanta); k > 0 && m.quanta[k-1].Tid == m.runTid {
+		m.quanta[k-1].Count += n
+		return
+	}
+	m.quanta = append(m.quanta, Quantum{Tid: m.runTid, Count: n})
 }
 
 // fail stops the machine with a failure report for thread t.

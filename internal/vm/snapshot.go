@@ -91,6 +91,7 @@ func (m *Machine) Restore(st *MachineState) {
 		m.condWaiters[t.WaitAddr] = append(m.condWaiters[t.WaitAddr], t.ID)
 	}
 	m.quanta = nil
+	m.runFrom = m.steps
 	m.curLeft = 0
 	m.needSched = true
 	m.stopped = StopNone

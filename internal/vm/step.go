@@ -207,7 +207,7 @@ func (m *Machine) step(t *Thread) (blocked bool) {
 		if ra == exitSentinel {
 			// Thread exit: the RET executes, then the thread is done.
 			t.Count++
-			m.recordQuantum(t.ID)
+			m.steps++
 			if m.tracing {
 				ev.NextPC = -1
 				m.tracer.OnInstr(ev)
@@ -309,7 +309,7 @@ func (m *Machine) step(t *Thread) (blocked bool) {
 		m.wakeLockWaiters(mAddr)
 		t.PC = t.PC + 1
 		t.Count++
-		m.recordQuantum(t.ID)
+		m.steps++
 		if m.tracing {
 			ev.EffAddr = mAddr
 			ev.MemIsWrite = true
@@ -373,7 +373,7 @@ func (m *Machine) step(t *Thread) (blocked bool) {
 			// The assert executes (so the slice criterion exists in the
 			// trace), then the machine stops with the failure.
 			t.Count++
-			m.recordQuantum(t.ID)
+			m.steps++
 			if m.tracing {
 				ev.NextPC = t.PC + 1
 				m.tracer.OnInstr(ev)
@@ -384,7 +384,7 @@ func (m *Machine) step(t *Thread) (blocked bool) {
 
 	case isa.HALT:
 		t.Count++
-		m.recordQuantum(t.ID)
+		m.steps++
 		if m.tracing {
 			ev.NextPC = -1
 			m.tracer.OnInstr(ev)
@@ -399,7 +399,7 @@ func (m *Machine) step(t *Thread) (blocked bool) {
 
 	t.PC = nextPC
 	t.Count++
-	m.recordQuantum(t.ID)
+	m.steps++
 	if m.tracing {
 		ev.NextPC = nextPC
 		m.tracer.OnInstr(ev)
@@ -429,7 +429,7 @@ func (m *Machine) syscall(t *Thread, num, arg int64) int64 {
 	case isa.SysThreadID:
 		return int64(t.ID)
 	case isa.SysYield:
-		m.yieldReq = true
+		m.needSched = true
 		return 0
 	case isa.SysRead, isa.SysTime, isa.SysRand:
 		if m.env == nil {
