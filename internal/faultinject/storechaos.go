@@ -23,7 +23,9 @@ type StoreCorruptor struct {
 	Want error
 	// Apply damages the store rooted at root. ok is false when the
 	// corruptor does not apply (e.g. the store holds no objects yet).
-	// detail names what was damaged, for test diagnostics.
+	// detail names what was damaged, for test diagnostics; paths in it
+	// are relative to root, so the same damage reads the same in every
+	// store.
 	Apply func(root string) (detail string, ok bool)
 }
 
@@ -40,6 +42,14 @@ func chunkObjects(root string) []string {
 	})
 	sort.Strings(out)
 	return out
+}
+
+// rootRel returns path relative to the store root.
+func rootRel(root, path string) string {
+	if rel, err := filepath.Rel(root, path); err == nil {
+		return rel
+	}
+	return path
 }
 
 // StoreCorruptors returns the store damage suite: every way a disk, a
@@ -67,7 +77,7 @@ func StoreCorruptors() []StoreCorruptor {
 				if err := os.WriteFile(victim, data, 0o644); err != nil {
 					return "", false
 				}
-				return victim, true
+				return rootRel(root, victim), true
 			},
 		},
 		{
@@ -87,7 +97,7 @@ func StoreCorruptors() []StoreCorruptor {
 				if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
 					return "", false
 				}
-				return fmt.Sprintf("%s truncated to %d of %d bytes", path, cut, len(data)), true
+				return fmt.Sprintf("%s truncated to %d of %d bytes", rootRel(root, path), cut, len(data)), true
 			},
 		},
 		{
@@ -106,7 +116,7 @@ func StoreCorruptors() []StoreCorruptor {
 				if err := os.Remove(victim); err != nil {
 					return "", false
 				}
-				return victim, true
+				return rootRel(root, victim), true
 			},
 		},
 		{

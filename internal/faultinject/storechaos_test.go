@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/pinball"
@@ -34,8 +35,10 @@ type storeGridCell struct {
 }
 
 // populateStore fills a fresh store with every pinball kind the format
-// suite produces, and returns the store plus the stored digests and the
-// original bytes by digest.
+// suite produces, in sorted kind order so the manifest's records (and
+// the byte offsets the store-grid reports) are the same on every run,
+// and returns the store plus the stored digests and the original bytes
+// by digest.
 func populateStore(t *testing.T, root string) (*store.Store, map[string][]byte) {
 	t.Helper()
 	s, err := store.Open(root)
@@ -43,8 +46,14 @@ func populateStore(t *testing.T, root string) (*store.Store, map[string][]byte) 
 		t.Fatalf("open store: %v", err)
 	}
 	want := map[string][]byte{}
-	for kind, pb := range makePinballs(t) {
-		data, err := pb.EncodeBytes()
+	pbs := makePinballs(t)
+	kinds := make([]pinball.Kind, 0, len(pbs))
+	for kind := range pbs {
+		kinds = append(kinds, kind)
+	}
+	slices.Sort(kinds)
+	for _, kind := range kinds {
+		data, err := pbs[kind].EncodeBytes()
 		if err != nil {
 			t.Fatalf("encode %v: %v", kind, err)
 		}
