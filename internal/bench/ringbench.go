@@ -2,10 +2,37 @@ package bench
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/pinplay"
 	"repro/internal/workloads"
 )
+
+// RingBenchIterations is how often each flight-recorder variant is
+// timed; the minimum is reported.
+const RingBenchIterations = 3
+
+// timeBest runs fn RingBenchIterations times and returns the fastest run.
+func timeBest(fn func() error) (time.Duration, error) {
+	best := time.Duration(0)
+	for i := 0; i < RingBenchIterations; i++ {
+		start := time.Now()
+		if err := fn(); err != nil {
+			return 0, err
+		}
+		if d := time.Since(start); best == 0 || d < best {
+			best = d
+		}
+	}
+	return best, nil
+}
+
+func pct(over, base time.Duration) float64 {
+	if base <= 0 {
+		return 0
+	}
+	return 100 * (float64(over) - float64(base)) / float64(base)
+}
 
 // RingBenchRow is one (workload, budget) flight-recorder measurement:
 // what bounding the journal costs at record time, how much smaller the
