@@ -74,13 +74,17 @@ soak:
 # shard-chain states and the malformed states the shard tests pin. A
 # store manifest replay must fail with ErrManifestCorrupt or, untorn,
 # survive compaction with equal entries; its seeds are real manifests
-# and the ones the store corruptors leave.
+# and the ones the store corruptors leave. A scenario-matrix spec must
+# be rejected or decode to scenarios that each expand to at least one
+# cell, with the same digest on a second decode; its seeds are the
+# committed scenario files and the specs the matrix tests inline.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/pinball/
 	$(GO) test -run '^$$' -fuzz '^FuzzSalvage$$' -fuzztime $(FUZZTIME) ./internal/pinball/
 	$(GO) test -run '^$$' -fuzz '^FuzzSliceShardState$$' -fuzztime $(FUZZTIME) ./internal/slice/
 	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime $(FUZZTIME) ./internal/store/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/matrix/
 
 # Multi-process fleet chaos soak: a real drserved coordinator fronting
 # three real drserved workers, 100 concurrent clients, one worker
@@ -100,10 +104,11 @@ bench-durability:
 # gap-bridging differential tests, tampered window hashes and resume
 # recipes (every policy must yield a typed degraded outcome, never a
 # clean exit), plus the ring scenario matrix (exact bridges, provenance
-# slicing, ring fault rows).
+# slicing, ring fault rows) from scenarios/ring.json, whose grid goes to
+# ring-grid.json.
 ring-chaos:
 	$(GO) test -race -count=1 -run 'Ring|Bridge|Gap' ./internal/pinplay/... ./internal/pinball/... ./internal/faultinject/... ./internal/core/... ./internal/slice/...
-	$(GO) run -race ./cmd/drmatrix run -json ring-grid.json scenarios/ring.yaml
+	$(GO) run -race ./cmd/drmatrix run -json ring-grid.json scenarios/ring.json
 
 # Content-addressed store chaos under the race detector: the store
 # corruptor matrix (bit-flipped chunk, torn manifest tail, dangling
@@ -128,9 +133,10 @@ bench-ring:
 	$(GO) run ./cmd/drbench -experiment ringbench
 
 # Bounded scenario-matrix smoke under the race detector: the Table 1
-# bug kernels explored by Maple across 8 seeds each, with replay and
-# slice-closure assertions, plus the matrix engine's own determinism
-# tests. Writes the grid artifact to matrix-grid.json for CI upload.
+# bug kernels of scenarios/table1.json explored by Maple across 8 seeds
+# each, with replay and slice-closure assertions, plus the matrix
+# engine's own determinism tests. Writes the grid artifact to
+# matrix-grid.json for CI upload.
 matrix-smoke:
 	$(GO) test -race -count=1 ./internal/matrix/
-	$(GO) run -race ./cmd/drmatrix run -q -json matrix-grid.json scenarios/table1.yaml
+	$(GO) run -race ./cmd/drmatrix run -q -json matrix-grid.json scenarios/table1.json

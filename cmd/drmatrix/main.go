@@ -1,4 +1,4 @@
-// Command drmatrix runs declarative scenario matrices: YAML files that
+// Command drmatrix runs declarative scenario matrices: JSON files that
 // describe workloads, axis lists (threads, sizes, seeds, quanta,
 // schedulers, faults), and expected-outcome assertions. drmatrix
 // expands the cross product, executes the cells in parallel under
@@ -8,9 +8,9 @@
 //
 // Usage:
 //
-//	drmatrix run scenarios/table1.yaml
-//	drmatrix run -workers 4 -json grid.json scenarios/smoke.yaml
-//	drmatrix expand scenarios/table1.yaml   # preview cells, no execution
+//	drmatrix run scenarios/table1.json
+//	drmatrix run -workers 4 -json grid.json scenarios/smoke.json
+//	drmatrix expand scenarios/table1.json   # preview cells, no execution
 //	drmatrix faults                         # list fault axis values
 //
 // Exit status: 0 when every cell and aggregate check passes, 1 when
@@ -56,8 +56,8 @@ func run(args []string) int {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  drmatrix run [-workers N] [-timings] [-json FILE] [-q] SPEC.yaml
-  drmatrix expand SPEC.yaml
+  drmatrix run [-workers N] [-timings] [-json FILE] [-q] SPEC.json
+  drmatrix expand SPEC.json
   drmatrix faults`)
 }
 

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -207,7 +207,7 @@ func aggregateChecks(sc *Scenario, results []*CellResult) []Check {
 			}
 			if n == 0 {
 				want = r.Output
-			} else if !int64sEqual(want, r.Output) {
+			} else if !slices.Equal(want, r.Output) {
 				ok = false
 			}
 			n++
@@ -218,18 +218,6 @@ func aggregateChecks(sc *Scenario, results []*CellResult) []Check {
 		})
 	}
 	return checks
-}
-
-func int64sEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // EncodeJSON writes the grid artifact. Without timings the bytes are a
@@ -301,7 +289,7 @@ func (g *Grid) RenderText(w io.Writer) error {
 	for s := range seedSet {
 		seeds = append(seeds, s)
 	}
-	sort.Slice(seeds, func(i, j int) bool { return seeds[i] < seeds[j] })
+	slices.Sort(seeds)
 
 	width := 0
 	for _, k := range order {

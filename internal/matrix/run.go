@@ -149,12 +149,12 @@ func (r *runner) resolve(name string) (*isa.Program, *workloads.Workload, error)
 		if r.opts.BaseDir != "" && !filepath.IsAbs(path) {
 			path = filepath.Join(r.opts.BaseDir, path)
 		}
-		src, err := readFile(path)
+		src, err := os.ReadFile(path)
 		if err != nil {
-			e.err = err
+			e.err = fmt.Errorf("matrix: %w", err)
 			return
 		}
-		e.prog, e.err = cc.CompileSource(filepath.Base(path), src)
+		e.prog, e.err = cc.CompileSource(filepath.Base(path), string(src))
 	})
 	return e.prog, e.w, e.err
 }
@@ -506,13 +506,4 @@ func evaluateCell(c *Cell, res *CellResult) {
 	if e.ExitCode >= 0 && res.ExitCode != e.ExitCode {
 		fail("exit code %d, want %d", res.ExitCode, e.ExitCode)
 	}
-}
-
-// readFile wraps os.ReadFile with a matrix-scoped error.
-func readFile(path string) (string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return "", fmt.Errorf("matrix: %w", err)
-	}
-	return string(data), nil
 }

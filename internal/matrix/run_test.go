@@ -15,36 +15,37 @@ func writeFile(path, content string) error {
 // runTestSpec is small enough for unit tests but exercises every stage:
 // a Maple bug hunt with slice assertions, a random-scheduler smoke row
 // with schedule-independent output, and a fault-injection row.
-const runTestSpec = `
-suite: runtest
-scenarios:
-  - name: hunt
-    workload: pbzip2
-    threads: [3]
-    sizes: [40]
-    seeds: [1, 2]
-    schedulers: maple
-    timeout: 30s
-    expect:
-      found: all
-      slice: closed
-      min_members: 2
-  - name: smoke
-    workload: blackscholes
-    sizes: [16]
-    seeds: [1, 2]
-    timeout: 30s
-    expect:
-      outcome: exit
-      output: identical
-      exit_code: 0
-  - name: fault
-    workload: blackscholes
-    sizes: [16]
-    seeds: [1]
-    faults: [file:flip-magic]
-    timeout: 30s
-`
+const runTestSpec = `{
+  "suite": "runtest",
+  "scenarios": [
+    {
+      "name": "hunt",
+      "workload": "pbzip2",
+      "threads": [3],
+      "sizes": [40],
+      "seeds": [1, 2],
+      "schedulers": ["maple"],
+      "timeout": "30s",
+      "expect": {"found": "all", "slice": "closed", "min_members": 2}
+    },
+    {
+      "name": "smoke",
+      "workload": "blackscholes",
+      "sizes": [16],
+      "seeds": [1, 2],
+      "timeout": "30s",
+      "expect": {"outcome": "exit", "output": "identical", "exit_code": 0}
+    },
+    {
+      "name": "fault",
+      "workload": "blackscholes",
+      "sizes": [16],
+      "seeds": [1],
+      "faults": ["file:flip-magic"],
+      "timeout": "30s"
+    }
+  ]
+}`
 
 func runGrid(t *testing.T, workers int) *Grid {
 	t.Helper()
@@ -201,16 +202,10 @@ func TestRenderTextGrid(t *testing.T) {
 // TestRunFailingAssertionFailsGrid: a scenario expecting a bug that a
 // clean workload cannot produce must fail its cells and the grid.
 func TestRunFailingAssertionFailsGrid(t *testing.T) {
-	spec, err := ParseSpec(`
-scenarios:
-  - name: impossible
-    workload: blackscholes
-    sizes: [16]
-    seeds: [1]
-    timeout: 30s
-    expect:
-      outcome: failure
-`)
+	spec, err := ParseSpec(`{"scenarios": [
+  {"name": "impossible", "workload": "blackscholes", "sizes": [16], "seeds": [1],
+   "timeout": "30s", "expect": {"outcome": "failure"}}
+]}`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,14 +235,9 @@ int main() {
 	if err := writeFile(dir+"/tiny.c", src); err != nil {
 		t.Fatal(err)
 	}
-	spec, err := ParseSpec(`
-scenarios:
-  - name: filewl
-    workload: tiny.c
-    timeout: 30s
-    expect:
-      outcome: exit
-`)
+	spec, err := ParseSpec(`{"scenarios": [
+  {"name": "filewl", "workload": "tiny.c", "timeout": "30s", "expect": {"outcome": "exit"}}
+]}`)
 	if err != nil {
 		t.Fatal(err)
 	}

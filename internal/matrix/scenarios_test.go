@@ -8,14 +8,25 @@ import (
 
 // TestCommittedScenariosParse loads every committed scenario file: the
 // corpus must always parse and expand, so a format change can never
-// strand scenarios/.
+// strand scenarios/. Each file's digest and cell count are pinned, so
+// the decoded spec (and the spec_digest the committed grids record)
+// changes only on purpose.
 func TestCommittedScenariosParse(t *testing.T) {
-	files, err := filepath.Glob("../../scenarios/*.yaml")
+	want := map[string]struct {
+		digest string
+		cells  int
+	}{
+		"table1.json": {"897b9d51b4c25d07", 24},
+		"smoke.json":  {"1af9342c79c4aecf", 32},
+		"faults.json": {"ad47f60a27eff674", 24},
+		"ring.json":   {"b27d82de2b9b6015", 13},
+	}
+	files, err := filepath.Glob("../../scenarios/*.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) < 3 {
-		t.Fatalf("found %d scenario files, want at least table1, smoke, faults", len(files))
+	if len(files) != len(want) {
+		t.Fatalf("found %d scenario files %v, want %d", len(files), files, len(want))
 	}
 	for _, f := range files {
 		spec, err := LoadSpec(f)
@@ -23,8 +34,12 @@ func TestCommittedScenariosParse(t *testing.T) {
 			t.Errorf("%s: %v", f, err)
 			continue
 		}
-		if cells := spec.Cells(); len(cells) == 0 {
-			t.Errorf("%s: expands to zero cells", f)
+		w := want[filepath.Base(f)]
+		if got := spec.Digest(); got != w.digest {
+			t.Errorf("%s: digest %s, want %s", f, got, w.digest)
+		}
+		if got := len(spec.Cells()); got != w.cells {
+			t.Errorf("%s: %d cells, want %d", f, got, w.cells)
 		}
 	}
 }
@@ -33,7 +48,7 @@ func TestCommittedScenariosParse(t *testing.T) {
 // acceptance criterion: all three paper bugs reproduce via Maple seed
 // exploration, replay divergence-free, and slice closed.
 func TestTable1ScenarioPasses(t *testing.T) {
-	spec, err := LoadSpec("../../scenarios/table1.yaml")
+	spec, err := LoadSpec("../../scenarios/table1.json")
 	if err != nil {
 		t.Fatal(err)
 	}

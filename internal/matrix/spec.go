@@ -1,11 +1,25 @@
+// Package matrix turns scenario coverage from code into data: a
+// declarative JSON scenario format (workload, thread counts, input
+// sizes, schedule seeds, scheduler kind including Maple's active
+// scheduler, fault-injection knobs, execution limits, and expected
+// outcome assertions), a runner that expands the cross product and
+// executes the cells in parallel under panic isolation and per-cell
+// timeouts, and a deterministic pass/fail grid artifact (JSON and a
+// rendered text table) with per-cell provenance.
 package matrix
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
-	"strconv"
+	"reflect"
+	"slices"
 	"strings"
 	"time"
 )
@@ -32,7 +46,7 @@ type Scenario struct {
 	// Axes. Every list must be non-empty after defaults are applied.
 	Threads    []int64 // 0 = the workload's DefaultThreads
 	Sizes      []int64
-	Seeds      []int64  // list or "lo..hi" range
+	Seeds      []int64
 	Quanta     []int64  // mean preemption quantum
 	Schedulers []string // "random" | "maple"
 	Faults     []string // "none" | "file:<name>" | "pinball:<name>"
@@ -64,9 +78,9 @@ type Region struct {
 // Limits bounds each cell's executions.
 type Limits struct {
 	// Steps is the instruction budget per run (0 = scenario default).
-	Steps int64
+	Steps int64 `json:"steps"`
 	// Pages caps replay resident memory in pages (0 = none).
-	Pages int
+	Pages int `json:"pages"`
 }
 
 // Expect declares a scenario's assertions. Zero values mean "don't
@@ -155,251 +169,177 @@ func LoadSpec(path string) (*Spec, error) {
 	return spec, nil
 }
 
-// ParseSpec parses scenario matrix YAML.
+// specFile is the JSON form of a scenario matrix file. The why fields
+// carry the reasons a comment would: they are documentation only and
+// reach neither the Spec nor its digest.
+type specFile struct {
+	Why       string         `json:"why"`
+	Suite     string         `json:"suite"`
+	Defaults  scenarioKeys   `json:"defaults"`
+	Scenarios []scenarioFile `json:"scenarios"`
+}
+
+// scenarioFile is one entry of the scenarios list. Only a scenario has
+// a name and a workload, so strict decoding rejects either key in
+// defaults.
+type scenarioFile struct {
+	Why      string `json:"why"`
+	Name     string `json:"name"`
+	Workload string `json:"workload"`
+	scenarioKeys
+}
+
+// scenarioKeys are the keys a scenario shares with defaults. Every field
+// is a slice or a pointer, nil when the file leaves the key out, so that
+// merge can replace a value whole instead of merging objects key by key.
+type scenarioKeys struct {
+	Threads     []int64     `json:"threads"`
+	Sizes       []int64     `json:"sizes"`
+	Seeds       []int64     `json:"seeds"`
+	Quantum     []int64     `json:"quantum"`
+	Schedulers  []string    `json:"schedulers"`
+	Faults      []string    `json:"faults"`
+	Region      *Region     `json:"region"`
+	Limits      *Limits     `json:"limits"`
+	Timeout     *string     `json:"timeout"`
+	ProfileRuns *int        `json:"profile_runs"`
+	RingBytes   *int64      `json:"ring_bytes"`
+	Sample      *int64      `json:"sample"`
+	Window      *int64      `json:"window"`
+	Expect      *expectKeys `json:"expect"`
+}
+
+// expectKeys is the expect object; nil fields keep the built-in value.
+type expectKeys struct {
+	Outcome    *string `json:"outcome"`
+	Found      *string `json:"found"`
+	Replay     *string `json:"replay"`
+	Slice      *string `json:"slice"`
+	MinMembers *int    `json:"min_members"`
+	Fault      *string `json:"fault"`
+	Output     *string `json:"output"`
+	ExitCode   *int    `json:"exit_code"`
+}
+
+// ParseSpec parses a scenario matrix JSON file. Decoding is strict: an
+// unknown key anywhere, a key named twice in one object, a value of the
+// wrong type or data after the spec object is an error, and syntax and
+// type errors name their line.
 func ParseSpec(src string) (*Spec, error) {
-	root, err := parseYAML(src)
-	if err != nil {
-		return nil, err
+	data := []byte(src)
+	keys := json.NewDecoder(bytes.NewReader(data))
+	if err := checkKeys(keys, data); err != nil && err != io.EOF {
+		return nil, jsonError(data, err)
 	}
-	spec := &Spec{}
-	var defaults map[string]any
-	for _, k := range sortedKeys(root) {
-		switch k {
-		case "suite":
-			if spec.Suite, err = scalarOf(root[k], "suite"); err != nil {
-				return nil, err
-			}
-		case "defaults":
-			m, ok := root[k].(map[string]any)
-			if !ok {
-				return nil, fmt.Errorf("defaults must be a mapping")
-			}
-			defaults = m
-		case "scenarios":
-			// handled below, after defaults are known
-		default:
-			return nil, fmt.Errorf("unknown top-level key %q", k)
-		}
+	if keys.More() {
+		return nil, atLine(data, keys.InputOffset(), errors.New("data after the spec object"))
 	}
-	raw, ok := root["scenarios"].([]any)
-	if !ok || len(raw) == 0 {
-		return nil, fmt.Errorf("spec needs a non-empty 'scenarios' sequence")
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var f specFile
+	if err := dec.Decode(&f); err != nil && err != io.EOF {
+		return nil, jsonError(data, err)
 	}
-	if defaults != nil {
-		if err := checkScenarioKeys(defaults, true); err != nil {
-			return nil, fmt.Errorf("defaults: %w", err)
-		}
+	if len(f.Scenarios) == 0 {
+		return nil, errors.New("spec needs a non-empty 'scenarios' list")
 	}
+	spec := &Spec{Suite: f.Suite}
 	seen := map[string]bool{}
-	for i, rs := range raw {
-		m, ok := rs.(map[string]any)
-		if !ok {
-			return nil, fmt.Errorf("scenario %d: must be a mapping", i)
-		}
-		sc, err := decodeScenario(m, defaults)
+	cells := 0
+	for i := range f.Scenarios {
+		sf := &f.Scenarios[i]
+		sc, err := sf.scenario(f.Defaults)
 		if err != nil {
-			name, _ := scalarOf(m["name"], "name")
-			if name == "" {
-				name = fmt.Sprintf("#%d", i)
-			}
-			return nil, fmt.Errorf("scenario %s: %w", name, err)
+			return nil, fmt.Errorf("scenario %s: %w", cmp.Or(sf.Name, fmt.Sprintf("#%d", i)), err)
 		}
 		if seen[sc.Name] {
 			return nil, fmt.Errorf("duplicate scenario name %q", sc.Name)
 		}
 		seen[sc.Name] = true
+		// Count the cross product without building it, saturating past
+		// the cap: an axis list that long is a typo, not a plan.
+		n := 1
+		for _, l := range []int{len(sc.Schedulers), len(sc.Faults), len(sc.Threads), len(sc.Sizes), len(sc.Quanta), len(sc.Seeds)} {
+			n = min(n*l, maxCells+1)
+		}
+		if cells += n; cells > maxCells {
+			return nil, fmt.Errorf("spec expands to more than %d cells", maxCells)
+		}
 		spec.Scenarios = append(spec.Scenarios, sc)
 	}
 	return spec, nil
 }
 
-var scenarioKeys = map[string]bool{
-	"name": true, "workload": true, "threads": true, "sizes": true,
-	"seeds": true, "quantum": true, "schedulers": true, "faults": true,
-	"region": true, "limits": true, "timeout": true, "profile_runs": true,
-	"ring_bytes": true, "sample": true, "window": true,
-	"expect": true,
-}
+// maxCells caps the number of cells a spec may expand to.
+const maxCells = 100_000
 
-func checkScenarioKeys(m map[string]any, isDefaults bool) error {
-	for _, k := range sortedKeys(m) {
-		if !scenarioKeys[k] {
-			return fmt.Errorf("unknown key %q", k)
-		}
-		if isDefaults && (k == "name" || k == "workload") {
-			return fmt.Errorf("%q is not allowed in defaults", k)
+// merge lays a scenario's keys over the defaults: every key the
+// scenario sets replaces the default's value whole, objects included.
+func merge(defaults, own scenarioKeys) scenarioKeys {
+	d, o := reflect.ValueOf(&defaults).Elem(), reflect.ValueOf(own)
+	for i := range o.NumField() {
+		if !o.Field(i).IsNil() {
+			d.Field(i).Set(o.Field(i))
 		}
 	}
-	return nil
+	return defaults
 }
 
-// decodeScenario decodes one scenario mapping, with defaults filling
-// unset keys.
-func decodeScenario(m, defaults map[string]any) (*Scenario, error) {
-	if err := checkScenarioKeys(m, false); err != nil {
+// scenario builds and checks one scenario from its keys laid over the
+// defaults, with built-in values for the keys neither sets.
+func (sf *scenarioFile) scenario(defaults scenarioKeys) (*Scenario, error) {
+	if sf.Name == "" {
+		return nil, errors.New("scenario needs a name")
+	}
+	if sf.Workload == "" {
+		return nil, errors.New("scenario needs a workload")
+	}
+	k := merge(defaults, sf.scenarioKeys)
+	sc := &Scenario{Name: sf.Name, Workload: sf.Workload, Timeout: 60 * time.Second}
+	set(&sc.Region, k.Region)
+	set(&sc.Limits, k.Limits)
+	set(&sc.ProfileRuns, k.ProfileRuns)
+	set(&sc.RingBytes, k.RingBytes)
+	set(&sc.Sample, k.Sample)
+	set(&sc.Window, k.Window)
+	errs := []error{
+		k.Expect.apply(&sc.Expect),
+		axis(&sc.Threads, k.Threads, 0, "threads"),
+		axis(&sc.Sizes, k.Sizes, 0, "sizes"),
+		axis(&sc.Seeds, k.Seeds, 1, "seeds"),
+		axis(&sc.Quanta, k.Quantum, 20, "quantum"),
+		axis(&sc.Schedulers, k.Schedulers, SchedulerRandom, "schedulers"),
+		axis(&sc.Faults, k.Faults, FaultNone, "faults"),
+	}
+	seeds := make(map[int64]bool, len(sc.Seeds))
+	for _, s := range sc.Seeds {
+		if seeds[s] {
+			errs = append(errs, fmt.Errorf("duplicate seed %d", s))
+		}
+		seeds[s] = true
+	}
+	for _, s := range sc.Schedulers {
+		if s != SchedulerRandom && s != SchedulerMaple {
+			errs = append(errs, fmt.Errorf("unknown scheduler %q (want %s or %s)", s, SchedulerRandom, SchedulerMaple))
+		}
+	}
+	for _, f := range sc.Faults {
+		errs = append(errs, checkFaultName(f))
+	}
+	if t := k.Timeout; t != nil {
+		var err error
+		if sc.Timeout, err = time.ParseDuration(*t); err != nil || sc.Timeout <= 0 {
+			errs = append(errs, fmt.Errorf("bad timeout %q", *t))
+		}
+	}
+	if sc.RingBytes < 0 || sc.Window < 0 || sc.Sample < 0 {
+		errs = append(errs, errors.New("ring_bytes, window and sample must be >= 0"))
+	}
+	if (sc.RingBytes > 0 || sc.Sample > 1) && slices.Contains(sc.Schedulers, SchedulerMaple) {
+		errs = append(errs, errors.New("ring_bytes/sample require the random scheduler: the flight recorder's resume recipe cannot capture maple's forcing scheduler"))
+	}
+	if err := errors.Join(errs...); err != nil {
 		return nil, err
-	}
-	get := func(k string) (any, bool) {
-		if v, ok := m[k]; ok {
-			return v, true
-		}
-		v, ok := defaults[k]
-		return v, ok
-	}
-	sc := &Scenario{
-		Threads:    []int64{0},
-		Sizes:      []int64{0},
-		Seeds:      []int64{1},
-		Quanta:     []int64{20},
-		Schedulers: []string{SchedulerRandom},
-		Faults:     []string{FaultNone},
-		Timeout:    60 * time.Second,
-		Expect:     Expect{Outcome: "any", Replay: "clean", ExitCode: -1},
-	}
-	var err error
-	if sc.Name, err = scalarOf(m["name"], "name"); err != nil || sc.Name == "" {
-		return nil, fmt.Errorf("scenario needs a name")
-	}
-	if sc.Workload, err = scalarOf(m["workload"], "workload"); err != nil || sc.Workload == "" {
-		return nil, fmt.Errorf("scenario needs a workload")
-	}
-	if v, ok := get("threads"); ok {
-		if sc.Threads, err = int64ListOf(v, "threads"); err != nil {
-			return nil, err
-		}
-	}
-	if v, ok := get("sizes"); ok {
-		if sc.Sizes, err = int64ListOf(v, "sizes"); err != nil {
-			return nil, err
-		}
-	}
-	if v, ok := get("seeds"); ok {
-		if sc.Seeds, err = seedsOf(v); err != nil {
-			return nil, err
-		}
-	}
-	if v, ok := get("quantum"); ok {
-		if sc.Quanta, err = int64ListOf(v, "quantum"); err != nil {
-			return nil, err
-		}
-	}
-	if v, ok := get("schedulers"); ok {
-		kinds, err := stringListOf(v, "schedulers")
-		if err != nil {
-			return nil, err
-		}
-		for _, k := range kinds {
-			if k != SchedulerRandom && k != SchedulerMaple {
-				return nil, fmt.Errorf("unknown scheduler %q (want %s or %s)", k, SchedulerRandom, SchedulerMaple)
-			}
-		}
-		sc.Schedulers = kinds
-	}
-	if v, ok := get("faults"); ok {
-		faults, err := stringListOf(v, "faults")
-		if err != nil {
-			return nil, err
-		}
-		for _, f := range faults {
-			if err := checkFaultName(f); err != nil {
-				return nil, err
-			}
-		}
-		sc.Faults = faults
-	}
-	if v, ok := get("region"); ok {
-		rm, ok := v.(map[string]any)
-		if !ok {
-			return nil, fmt.Errorf("region must be a mapping {skip, length}")
-		}
-		for _, k := range sortedKeys(rm) {
-			var err error
-			switch k {
-			case "skip":
-				sc.Region.Skip, err = int64Of(rm[k], "region.skip")
-			case "length":
-				sc.Region.Length, err = int64Of(rm[k], "region.length")
-			default:
-				err = fmt.Errorf("unknown region key %q", k)
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	if v, ok := get("limits"); ok {
-		lm, ok := v.(map[string]any)
-		if !ok {
-			return nil, fmt.Errorf("limits must be a mapping {steps, pages}")
-		}
-		for _, k := range sortedKeys(lm) {
-			var err error
-			switch k {
-			case "steps":
-				sc.Limits.Steps, err = int64Of(lm[k], "limits.steps")
-			case "pages":
-				var p int64
-				p, err = int64Of(lm[k], "limits.pages")
-				sc.Limits.Pages = int(p)
-			default:
-				err = fmt.Errorf("unknown limits key %q", k)
-			}
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	if v, ok := get("timeout"); ok {
-		s, err := scalarOf(v, "timeout")
-		if err != nil {
-			return nil, err
-		}
-		if sc.Timeout, err = time.ParseDuration(s); err != nil || sc.Timeout <= 0 {
-			return nil, fmt.Errorf("bad timeout %q", s)
-		}
-	}
-	if v, ok := get("profile_runs"); ok {
-		p, err := int64Of(v, "profile_runs")
-		if err != nil {
-			return nil, err
-		}
-		sc.ProfileRuns = int(p)
-	}
-	if v, ok := get("ring_bytes"); ok {
-		if sc.RingBytes, err = int64Of(v, "ring_bytes"); err != nil {
-			return nil, err
-		}
-		if sc.RingBytes < 0 {
-			return nil, fmt.Errorf("ring_bytes must be >= 0")
-		}
-	}
-	if v, ok := get("window"); ok {
-		if sc.Window, err = int64Of(v, "window"); err != nil {
-			return nil, err
-		}
-		if sc.Window < 0 {
-			return nil, fmt.Errorf("window must be >= 0")
-		}
-	}
-	if v, ok := get("sample"); ok {
-		if sc.Sample, err = int64Of(v, "sample"); err != nil {
-			return nil, err
-		}
-		if sc.Sample < 0 {
-			return nil, fmt.Errorf("sample must be >= 0")
-		}
-	}
-	if sc.RingBytes > 0 || sc.Sample > 1 {
-		for _, s := range sc.Schedulers {
-			if s == SchedulerMaple {
-				return nil, fmt.Errorf("ring_bytes/sample require the random scheduler: the flight recorder's resume recipe cannot capture maple's forcing scheduler")
-			}
-		}
-	}
-	if v, ok := get("expect"); ok {
-		if err := decodeExpect(v, &sc.Expect); err != nil {
-			return nil, err
-		}
 	}
 	// A fault axis without an explicit fault assertion defaults to
 	// "detected" — injecting corruption that nothing checks is a
@@ -415,52 +355,55 @@ func decodeScenario(m, defaults map[string]any) (*Scenario, error) {
 	return sc, nil
 }
 
-func decodeExpect(v any, e *Expect) error {
-	m, ok := v.(map[string]any)
-	if !ok {
-		return fmt.Errorf("expect must be a mapping")
+// apply sets *e to the expect object laid over the built-in assertions.
+// A scenario's expect replaces the defaults' whole, so it too is laid
+// over the built-ins, never over defaults.expect.
+func (x *expectKeys) apply(e *Expect) error {
+	*e = Expect{Outcome: "any", Replay: "clean", ExitCode: -1}
+	if x == nil {
+		return nil
 	}
-	enum := func(k, got string, allowed ...string) (string, error) {
-		for _, a := range allowed {
-			if got == a {
-				return got, nil
-			}
-		}
-		return "", fmt.Errorf("expect.%s: %q is not one of %s", k, got, strings.Join(allowed, "|"))
+	set(&e.MinMembers, x.MinMembers)
+	set(&e.ExitCode, x.ExitCode)
+	return errors.Join(
+		enum(&e.Outcome, x.Outcome, "outcome", "exit", "failure", "any"),
+		enum(&e.Found, x.Found, "found", "any", "all", "none", ""),
+		enum(&e.Replay, x.Replay, "replay", "clean", "none"),
+		enum(&e.Slice, x.Slice, "slice", "closed", "provenance", "none"),
+		enum(&e.Fault, x.Fault, "fault", "detected", "none"),
+		enum(&e.Output, x.Output, "output", "identical", ""),
+	)
+}
+
+// set copies the file's value into *dst when the file sets the key.
+func set[T any](dst, v *T) {
+	if v != nil {
+		*dst = *v
 	}
-	for _, k := range sortedKeys(m) {
-		s, err := scalarOf(m[k], "expect."+k)
-		if err != nil {
-			return err
-		}
-		switch k {
-		case "outcome":
-			e.Outcome, err = enum(k, s, "exit", "failure", "any")
-		case "found":
-			e.Found, err = enum(k, s, "any", "all", "none", "")
-		case "replay":
-			e.Replay, err = enum(k, s, "clean", "none")
-		case "slice":
-			e.Slice, err = enum(k, s, "closed", "provenance", "none")
-		case "min_members":
-			var n int64
-			n, err = int64Of(m[k], "expect.min_members")
-			e.MinMembers = int(n)
-		case "fault":
-			e.Fault, err = enum(k, s, "detected", "none")
-		case "output":
-			e.Output, err = enum(k, s, "identical", "")
-		case "exit_code":
-			var n int64
-			n, err = int64Of(m[k], "expect.exit_code")
-			e.ExitCode = int(n)
-		default:
-			err = fmt.Errorf("unknown expect key %q", k)
-		}
-		if err != nil {
-			return err
-		}
+}
+
+// axis sets *dst to the file's list, or to the one-value default when
+// the key is unset.
+func axis[T any](dst *[]T, v []T, def T, key string) error {
+	if v == nil {
+		v = []T{def}
 	}
+	*dst = v
+	if len(v) == 0 {
+		return fmt.Errorf("%s must not be empty", key)
+	}
+	return nil
+}
+
+// enum sets *dst to the file's value after checking it is allowed.
+func enum(dst, v *string, key string, allowed ...string) error {
+	if v == nil {
+		return nil
+	}
+	if !slices.Contains(allowed, *v) {
+		return fmt.Errorf("expect.%s: %q is not one of %s", key, *v, strings.Join(allowed, "|"))
+	}
+	*dst = *v
 	return nil
 }
 
@@ -472,10 +415,8 @@ func checkFaultName(f string) error {
 	if !ok || name == "" || (kind != "file" && kind != "pinball") {
 		return fmt.Errorf("bad fault %q (want none, file:<name> or pinball:<name>)", f)
 	}
-	for _, known := range FaultNames() {
-		if f == known {
-			return nil
-		}
+	if slices.Contains(FaultNames(), f) {
+		return nil
 	}
 	return fmt.Errorf("unknown fault %q (drmatrix faults lists the registry)", f)
 }
@@ -529,108 +470,52 @@ func (s *Spec) Digest() string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// --- scalar decoding helpers ---
-
-func scalarOf(v any, what string) (string, error) {
-	if v == nil {
-		return "", nil
+// checkKeys walks the next JSON value and rejects an object that names
+// a key twice, which encoding/json would resolve silently in favour of
+// the last one.
+func checkKeys(dec *json.Decoder, data []byte) error {
+	tok, err := dec.Token()
+	if err != nil || (tok != json.Delim('{') && tok != json.Delim('[')) {
+		return err
 	}
-	s, ok := v.(string)
-	if !ok {
-		return "", fmt.Errorf("%s must be a scalar", what)
-	}
-	return s, nil
-}
-
-func int64Of(v any, what string) (int64, error) {
-	s, ok := v.(string)
-	if !ok {
-		return 0, fmt.Errorf("%s must be an integer", what)
-	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("%s: bad integer %q", what, s)
-	}
-	return n, nil
-}
-
-// int64ListOf accepts a single integer or a flow/block list of them.
-func int64ListOf(v any, what string) ([]int64, error) {
-	switch t := v.(type) {
-	case string:
-		n, err := int64Of(t, what)
-		if err != nil {
-			return nil, err
-		}
-		return []int64{n}, nil
-	case []any:
-		if len(t) == 0 {
-			return nil, fmt.Errorf("%s must not be empty", what)
-		}
-		out := make([]int64, 0, len(t))
-		for _, e := range t {
-			n, err := int64Of(e, what)
+	seen := map[string]bool{}
+	for dec.More() {
+		if tok == json.Delim('{') {
+			k, err := dec.Token()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			out = append(out, n)
+			key, _ := k.(string)
+			if seen[key] {
+				return atLine(data, dec.InputOffset(), fmt.Errorf("duplicate key %q", key))
+			}
+			seen[key] = true
 		}
-		return out, nil
+		if err := checkKeys(dec, data); err != nil {
+			return err
+		}
 	}
-	return nil, fmt.Errorf("%s must be an integer or a list", what)
+	_, err = dec.Token() // the closing delimiter
+	return err
 }
 
-func stringListOf(v any, what string) ([]string, error) {
-	switch t := v.(type) {
-	case string:
-		return []string{t}, nil
-	case []any:
-		if len(t) == 0 {
-			return nil, fmt.Errorf("%s must not be empty", what)
-		}
-		out := make([]string, 0, len(t))
-		for _, e := range t {
-			s, ok := e.(string)
-			if !ok {
-				return nil, fmt.Errorf("%s entries must be scalars", what)
-			}
-			out = append(out, s)
-		}
-		return out, nil
+// jsonError names the line of a JSON syntax or type error.
+func jsonError(data []byte, err error) error {
+	var se *json.SyntaxError
+	var te *json.UnmarshalTypeError
+	switch {
+	case errors.As(err, &se):
+		return atLine(data, se.Offset, err)
+	case errors.As(err, &te):
+		return atLine(data, te.Offset, err)
+	case errors.Is(err, io.ErrUnexpectedEOF):
+		return atLine(data, int64(len(data)), err)
 	}
-	return nil, fmt.Errorf("%s must be a scalar or a list", what)
+	return err
 }
 
-// seedsOf accepts a list of seeds or an inclusive "lo..hi" range (the
-// notation that makes "hunt hundreds of seeds" a one-line edit).
-func seedsOf(v any) ([]int64, error) {
-	if s, ok := v.(string); ok {
-		if lo, hi, found := strings.Cut(s, ".."); found {
-			l, err1 := strconv.ParseInt(strings.TrimSpace(lo), 10, 64)
-			h, err2 := strconv.ParseInt(strings.TrimSpace(hi), 10, 64)
-			if err1 != nil || err2 != nil || h < l {
-				return nil, fmt.Errorf("bad seed range %q (want lo..hi)", s)
-			}
-			if h-l+1 > 100_000 {
-				return nil, fmt.Errorf("seed range %q expands to %d cells; cap is 100000", s, h-l+1)
-			}
-			out := make([]int64, 0, h-l+1)
-			for i := l; i <= h; i++ {
-				out = append(out, i)
-			}
-			return out, nil
-		}
-	}
-	out, err := int64ListOf(v, "seeds")
-	if err != nil {
-		return nil, err
-	}
-	seen := make(map[int64]bool, len(out))
-	for _, s := range out {
-		if seen[s] {
-			return nil, fmt.Errorf("duplicate seed %d", s)
-		}
-		seen[s] = true
-	}
-	return out, nil
+// atLine prefixes err with the 1-based line holding byte offset off.
+func atLine(data []byte, off int64, err error) error {
+	line := 1 + bytes.Count(data[:min(max(off, 0), int64(len(data)))], []byte("\n"))
+	return fmt.Errorf("line %d: %w", line, err)
 }
