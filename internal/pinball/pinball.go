@@ -254,75 +254,10 @@ func (p *Pinball) Validate() error {
 	return nil
 }
 
-// ID returns a stable content digest of the pinball, used as the cache
-// key for process-lifetime slicing artefacts (dependence shards, CFGs,
-// forward-pass metadata): two loads of the same pinball file share one
-// cache entry, and a different recording — even of the same program —
-// gets a different key. The digest folds the structural identity of the
-// capture (program, kind, region accounting, schedule, syscalls, order
-// edges) plus every divergence-checkpoint hash, which pins down the
-// recorded instruction stream itself.
+// ID renders Digest as 16 hex digits: the pinball identity grids,
+// reports and round-trip checks print and compare.
 func (p *Pinball) ID() string {
-	h := fnv1a.Offset
-	fold := func(v int64) { h = fnv1a.Fold(h, v) }
-	for _, b := range []byte(p.ProgramName) {
-		fold(int64(b))
-	}
-	for _, b := range []byte(p.Kind) {
-		fold(int64(b))
-	}
-	fold(p.RegionInstrs)
-	fold(p.MainInstrs)
-	fold(p.SkipMain)
-	fold(p.CheckpointEvery)
-	for _, q := range p.Quanta {
-		fold(int64(q.Tid))
-		fold(q.Count)
-	}
-	for _, s := range p.Syscalls {
-		fold(int64(s.Tid))
-		fold(s.Num)
-		fold(s.Arg)
-		fold(s.Ret)
-	}
-	for _, e := range p.OrderEdges {
-		fold(int64(e.FromTid))
-		fold(e.FromIdx)
-		fold(int64(e.ToTid))
-		fold(e.ToIdx)
-	}
-	for _, cp := range p.Checkpoints {
-		fold(int64(cp.Tid))
-		fold(cp.Seq)
-		fold(int64(cp.Hash))
-		fold(cp.PC)
-	}
-	for _, ex := range p.Exclusions {
-		fold(int64(ex.Tid))
-		fold(ex.FromIdx)
-		fold(ex.ToIdx)
-	}
-	fold(p.RingBytes)
-	fold(p.SampleKeep)
-	for _, e := range p.Evictions {
-		fold(e.ID)
-		fold(e.FromStep)
-		fold(e.ToStep)
-		fold(int64(e.Hash))
-	}
-	if r := p.Recipe; r != nil {
-		fold(int64(r.SchedState))
-		fold(r.MeanQ)
-		fold(int64(r.CurTid))
-		fold(r.CurLeft)
-		fold(int64(r.EnvRand))
-		fold(r.EnvClock)
-		fold(r.EnvPos)
-		for _, v := range r.EnvInput {
-			fold(v)
-		}
-	}
-	return fmt.Sprintf("%016x", h)
+	return fmt.Sprintf("%016x", p.Digest())
 }
 
 // Digest folds every field of the pinball into one FNV-1a digest:
@@ -331,10 +266,9 @@ func (p *Pinball) ID() string {
 // ended (EndReason, Failure), the slice exclusions and injections, every
 // divergence checkpoint in full and the flight-recorder fields. Any two
 // pinballs that differ in any field get different digests, which is what
-// a cache of replay products (traces, slicing engines) must key on: ID
-// leaves out the region-entry state and most of each checkpoint, and is
-// persisted in grids and reports, so it cannot grow. A new Pinball field
-// must be folded here; TestDigestCoversEveryField enforces it.
+// a cache of replay products (traces, slicing engines) must key on. A
+// new Pinball field must be folded here; TestDigestCoversEveryField
+// enforces it.
 func (p *Pinball) Digest() uint64 {
 	h := fnv1a.Offset
 	fold := func(v int64) { h = fnv1a.Fold(h, v) }

@@ -29,12 +29,11 @@ import (
 // builders for the same shards.
 
 // EngineKey identifies a recording, replayed by one program, for the
-// engine cache. pinball.ID alone is too weak: it folds only the program
-// name, and it leaves out the region-entry state and most of each
-// checkpoint, so two programs named alike or a tampered recording would
-// share an entry — and a session adopting the cached trace would then
-// answer for the wrong execution without replaying. The zero EngineKey
-// disables caching.
+// engine cache. The pinball's digest alone is not enough: a pinball
+// names its program but does not hold its code, so two programs
+// compiled under one name would share an entry, and a session adopting
+// the cached trace would then answer for the wrong execution without
+// replaying. The zero EngineKey disables caching.
 type EngineKey struct {
 	Pinball uint64 // pinball.Digest of the session's own (possibly gapped) pinball: every field
 	Code    uint64 // cfg.Fingerprint of the program
