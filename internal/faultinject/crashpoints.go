@@ -22,10 +22,11 @@ type CrashPoint struct {
 	Off  int64
 }
 
-// CrashPoints enumerates the tear offsets of a version 2 or 3 pinball
-// file: before each frame, inside each frame header, and
-// mid-payload of each frame, plus one byte short of a complete file.
-// Returns nil when the bytes have no parsable framing.
+// CrashPoints enumerates the tear offsets of a version 2 to 4 pinball
+// file (the versions pinball.SectionOffsets walks): before each frame,
+// inside each frame header, and mid-payload of each frame, plus one
+// byte short of a complete file. Returns nil when the bytes have no
+// parsable framing.
 func CrashPoints(data []byte) []CrashPoint {
 	secs := sections(data)
 	if secs == nil {
